@@ -22,7 +22,7 @@ DctcpScenarioResult run_dctcp_scenario(const DctcpScenarioConfig& cfg) {
   runtime::Simulation sim;
   orch::System sys;
   orch::Instantiation inst;
-  inst.exec = orch::resolve_exec(cfg.exec, cfg.run_mode);
+  inst.exec = cfg.exec;
   inst.profile = cfg.profile;
   inst.faults = cfg.faults;
   inst.adaptive = cfg.adaptive;

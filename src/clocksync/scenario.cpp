@@ -17,7 +17,7 @@ ClockSyncScenarioResult run_clocksync_scenario(const ClockSyncScenarioConfig& cf
   runtime::Simulation sim;
   orch::System sys;
   orch::Instantiation inst;
-  inst.exec = orch::resolve_exec(cfg.exec, cfg.run_mode);
+  inst.exec = cfg.exec;
   inst.profile = cfg.profile;
   inst.faults = cfg.faults;
   inst.verify = cfg.verify;

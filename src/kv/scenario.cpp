@@ -28,7 +28,7 @@ ScenarioResult run_kv_scenario(const ScenarioConfig& cfg) {
   runtime::Simulation sim;
   orch::System sys;
   orch::Instantiation inst;
-  inst.exec = orch::resolve_exec(cfg.exec, cfg.run_mode);
+  inst.exec = cfg.exec;
   inst.profile = cfg.profile;
   inst.faults = cfg.faults;
   inst.verify = cfg.verify;

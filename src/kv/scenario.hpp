@@ -67,10 +67,6 @@ struct ScenarioConfig {
   /// scenario stamps config_fp (when unset) from the family name and
   /// duration so a snapshot cannot resume a different workload.
   orch::CkptSpec ckpt;
-
-  /// Deprecated: use exec.run_mode. A non-default value here still wins so
-  /// existing callers keep working.
-  runtime::RunMode run_mode = runtime::RunMode::kCoscheduled;
 };
 
 struct ScenarioResult {

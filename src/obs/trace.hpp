@@ -58,7 +58,7 @@ static_assert(sizeof(TraceRecord) == 48, "trace records are fixed 48-byte binary
 /// Well-known interned span/event names (stable ids; intern_name() hands
 /// out ids starting at kNameFirstDynamic).
 enum : std::uint32_t {
-  kNameAdvance = 1,   ///< one component batch (advance_once)
+  kNameAdvance = 1,   ///< one component batch (Component::advance)
   kNameSyncWait = 2,  ///< threaded runner blocked on a peer horizon
   kNameParked = 3,    ///< pooled runner: component parked waiting for work
   kNameDeliver = 4,   ///< adapter rx batch (deliver_all)

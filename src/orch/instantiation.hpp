@@ -66,13 +66,6 @@ struct ExecSpec {
   std::map<std::string, int> process_of;
 };
 
-/// Resolve a scenario config's deprecated `run_mode` alias against its
-/// ExecSpec: a legacy value that was changed from the default wins.
-inline ExecSpec resolve_exec(ExecSpec exec, runtime::RunMode legacy_run_mode) {
-  if (legacy_run_mode != runtime::RunMode::kCoscheduled) exec.run_mode = legacy_run_mode;
-  return exec;
-}
-
 /// Profiler + observability knobs (paper §3.3 sampling plus the obs layer:
 /// tracing, metrics, progress). Every artifact a run produces — `.sslog`
 /// files, `wtpg*.dot`, trace/metrics/summary JSON — lands under

@@ -324,7 +324,7 @@ ChildReport read_report(const std::string& path) {
       else if (k == "futex_wakes") r.futex_wakes = std::stoull(v);
       else if (k == "error_kind") {
         int n = std::stoi(v);
-        if (n < 0 || n > static_cast<int>(runtime::ErrorKind::kCheckpoint)) {
+        if (n < 0 || n > static_cast<int>(runtime::ErrorKind::kSyncViolation)) {
           throw std::out_of_range("error_kind " + v + " is not a known ErrorKind");
         }
         r.error_kind = static_cast<runtime::ErrorKind>(n);

@@ -38,46 +38,33 @@ void Component::prepare(SimTime end) {
   init();
 }
 
-SimTime Component::next_action_time() {
-  SimTime t = kernel_.next_time();
+Poll Component::poll() {
+  // One rx_peek() per adapter yields both terms. Reading each adapter once
+  // is what makes the result consistent while peers keep sending (see
+  // Poll); components with many channels make this the hot path.
+  Poll p;
+  SimTime next = kernel_.next_time();
   for (auto& a : adapters_) {
-    SimTime rx = a->head_rx();
-    if (rx < t) t = rx;
+    sync::Adapter::RxPeek rx = a->rx_peek();
+    if (rx.bound < p.bound) {
+      p.bound = rx.bound;
+      p.limiter = a.get();
+    }
+    if (rx.head < next) next = rx.head;
     SimTime due = a->next_sync_due();
-    if (due < t) t = due;
+    if (due < next) next = due;
   }
-  return t;
+  p.next = next;
+  return p;
 }
 
-SimTime Component::safe_bound() {
-  SimTime s = kSimTimeMax;
-  for (auto& a : adapters_) {
-    SimTime b = a->in_bound();
-    if (b < s) s = b;
-  }
-  return s;
-}
-
-bool Component::advance_once() {
-  // One pass over the adapters computes both the next action time and the
-  // safe bound (components with many channels make this the hot path).
-  SimTime t = kernel_.next_time();
-  SimTime s = kSimTimeMax;
-  for (auto& a : adapters_) {
-    SimTime b = a->in_bound();  // == head_rx when a message is pending
-    if (b < s) s = b;
-    SimTime rx = a->head_rx();
-    if (rx < t) t = rx;
-    SimTime due = a->next_sync_due();
-    if (due < t) t = due;
-  }
-  if (t > end_) return false;
-  if (t > s) return false;
+void Component::advance(const Poll& p) {
+  const SimTime t = p.next;
   // Checkpoint boundaries strictly before the next batch are final now:
   // every delivery with rx <= boundary has happened (t > boundary) and
-  // conservative sync guarantees no future arrival at or before t <= s.
-  // This runs before the injected-fault check so a kill at time T leaves
-  // snapshots for every boundary < T to resume from.
+  // conservative sync guarantees no future arrival at or before
+  // t <= p.bound. This runs before the injected-fault check so a kill at
+  // time T leaves snapshots for every boundary < T to resume from.
   if (ckpt_next_ < t) record_ckpt_boundaries(t);
   if (t >= fault_throw_at_) {
     throw std::runtime_error(fault_throw_msg_);
@@ -86,7 +73,7 @@ bool Component::advance_once() {
     // One stall "batch": the scheduler charged us a turn, we did nothing.
     --fault_stall_batches_;
     ++batches_;
-    return true;
+    return;
   }
   const bool traced = obs::tracing_enabled();
   std::uint64_t c0 = traced ? rdcycles() : 0;
@@ -103,7 +90,6 @@ bool Component::advance_once() {
   ++batches_;
   if (traced) obs::record_span(obs::kNameAdvance, trace_track_, t, c0, rdcycles());
   maybe_observe();
-  return true;
 }
 
 void Component::record_ckpt_boundaries(SimTime limit) {
@@ -132,28 +118,15 @@ void Component::finish() {
   if (obs_live_) live_sim_time_.store(kernel_.now(), std::memory_order_relaxed);
 }
 
-bool Component::send_nulls(SimTime bound) {
+bool Component::send_nulls(const Poll& p) {
   bool sent = false;
   for (auto& a : adapters_) {
-    if (a->end().can_promise(bound)) {
-      a->send_null(bound);
+    if (a->end().can_promise(p.bound)) {
+      a->send_null(p.bound);
       sent = true;
     }
   }
   return sent;
-}
-
-sync::Adapter* Component::limiting_adapter() {
-  sync::Adapter* limiting = nullptr;
-  SimTime min_bound = kSimTimeMax;
-  for (auto& a : adapters_) {
-    SimTime b = a->in_bound();
-    if (b < min_bound) {
-      min_bound = b;
-      limiting = a.get();
-    }
-  }
-  return limiting;
 }
 
 sync::EventDigest Component::digest() const {
@@ -175,24 +148,26 @@ void Component::inject_stall(SimTime at, std::uint64_t batches) {
 void Component::run_thread(ThreadedShared& shared) {
   std::uint64_t t0 = rdcycles();
   next_sample_tsc_ = sample_period_ ? t0 + sample_period_ : 0;
+  Poll p = poll();
   while (!shared.abort.load(std::memory_order_relaxed)) {
-    SimTime t = next_action_time();
-    if (t > end_) break;
-    if (t <= safe_bound()) {
+    if (p.done(end_)) break;
+    if (p.next <= p.bound) {
       std::uint64_t b0 = rdcycles();
-      advance_once();
+      advance(p);
       busy_cycles_ += (rdcycles() - b0) + drain_virtual_cycles();
+      p = poll();
       continue;
     }
-    // Blocked: promise our current bound to all peers (null messages), then
-    // wait with the adaptive spin/yield/park policy. Re-promise whenever our
-    // bound grows so chains of waiting components keep making progress
-    // (classic null-message iteration).
-    SimTime promised = safe_bound();
-    send_nulls(promised);
+    // Blocked: promise exactly the polled bound to all peers (null
+    // messages), then wait with the adaptive spin/yield/park policy.
+    // Re-promise whenever a fresh poll shows the bound grew, so chains of
+    // waiting components keep making progress (classic null-message
+    // iteration).
+    SimTime promised = p.bound;
+    send_nulls(p);
     std::uint64_t w0 = rdcycles();
-    // Attribute the wait to the currently limiting adapter.
-    sync::Adapter* limiting = limiting_adapter();
+    // Attribute the wait to the adapter limiting the bound.
+    sync::Adapter* limiting = p.limiter;
     sync::WaitState wait;
     // Watchdog bookkeeping: while blocked, this thread doubles as a
     // deadlock detector (see ThreadedShared). The blocked count is
@@ -204,12 +179,11 @@ void Component::run_thread(ThreadedShared& shared) {
     std::uint64_t watch_deadline =
         shared.watchdog_cycles != 0 ? rdcycles() + shared.watchdog_cycles : 0;
     while (!shared.abort.load(std::memory_order_relaxed)) {
-      SimTime t2 = next_action_time();
-      SimTime s2 = safe_bound();
-      if (t2 <= s2 || t2 > end_) break;
-      if (s2 > promised) {
-        promised = s2;
-        send_nulls(promised);
+      p = poll();
+      if (p.next <= p.bound || p.done(end_)) break;
+      if (p.bound > promised) {
+        promised = p.bound;
+        send_nulls(p);
         wait.reset();  // peer progressed; expect more soon, spin again
         shared.progress_epoch.fetch_add(1, std::memory_order_acq_rel);
         if (watch_deadline != 0) {
@@ -230,19 +204,9 @@ void Component::run_thread(ThreadedShared& shared) {
           // for a full watchdog window: conservative synchronization cannot
           // recover from this state — fail loudly instead of spinning.
           shared.blocked.fetch_sub(1, std::memory_order_acq_rel);
-          std::ostringstream os;
-          os << "threaded watchdog: no runnable component and no horizon "
-                "progress for a full watchdog window; blocked waiting";
-          if (limiting != nullptr) {
-            os << " on adapter '" << limiting->name() << "'";
-            if (!limiting->peer_component().empty()) {
-              os << " toward '" << limiting->peer_component() << "'";
-            }
-          }
-          os << " (next action " << to_ns(next_action_time()) << " ns, safe bound "
-             << to_ns(safe_bound()) << " ns; is sync_interval <= latency and every "
-                "channel end attached?)";
-          throw SimulationError(ErrorKind::kDeadlock, name_, kernel_.now(), os.str());
+          throw deadlock_error(*this, p,
+                               "threaded watchdog: no runnable component and no horizon "
+                               "progress for a full watchdog window");
         }
       }
     }
@@ -266,10 +230,20 @@ void Component::run_thread(ThreadedShared& shared) {
   shared.progress_epoch.fetch_add(1, std::memory_order_acq_rel);
   shared.remaining.fetch_sub(1, std::memory_order_acq_rel);
   // Drain phase: keep consuming (and discarding) incoming messages so that
-  // still-running peers never block on a full ring towards us. Abort-aware:
-  // a failed run must not leave draining threads spinning behind it.
+  // still-running peers never block on a full ring towards us. Peers in
+  // other processes are not counted in `remaining`: wait for their FIN
+  // too, or this process could exit and close a transport they still
+  // write to. Abort-aware: a failed run must not leave draining threads
+  // spinning behind it (a dead remote peer trips the abort flag through
+  // the process runner's monitor).
+  auto peers_done = [this] {
+    for (auto& a : adapters_) {
+      if (!a->peer_component().empty() && !a->end().fin_received()) return false;
+    }
+    return true;
+  };
   std::uint64_t d0 = rdcycles();
-  while (shared.remaining.load(std::memory_order_acquire) > 0 &&
+  while ((shared.remaining.load(std::memory_order_acquire) > 0 || !peers_done()) &&
          !shared.abort.load(std::memory_order_relaxed)) {
     for (auto& a : adapters_) a->end().discard_all();
     std::this_thread::yield();
@@ -336,6 +310,20 @@ void Component::publish_obs_metrics() {
   g_batches_->set(static_cast<double>(batches_));
   h_queue_depth_->observe(kernel_.live_events());
   publish_extra_obs_metrics();
+}
+
+SimulationError deadlock_error(const Component& c, const Poll& p, const std::string& detector) {
+  std::ostringstream os;
+  os << detector << "; next action " << to_ns(p.next) << " ns beyond safe bound "
+     << to_ns(p.bound) << " ns";
+  if (p.limiter != nullptr) {
+    os << ", blocked on adapter '" << p.limiter->name() << "'";
+    if (!p.limiter->peer_component().empty()) {
+      os << " toward '" << p.limiter->peer_component() << "'";
+    }
+  }
+  os << " (is sync_interval <= latency and every channel end attached?)";
+  return SimulationError(ErrorKind::kDeadlock, c.name(), c.now(), os.str());
 }
 
 }  // namespace splitsim::runtime

@@ -1,8 +1,9 @@
 // A SplitSim component simulator: one DES kernel plus the SplitSim adapters
 // connecting it to peer components.
 //
-// Components expose a stepping interface used by both execution modes:
-//  * ThreadedRunner runs each component on its own thread; blocked
+// Components expose a stepping interface used by all three execution modes,
+// which share one runnability rule built on poll() (see Poll):
+//  * Threaded mode runs each component on its own thread; blocked
 //    components spin-poll their adapters (counting wait cycles for the
 //    profiler) and exchange null messages, exactly like SimBricks processes.
 //  * Coscheduled (single-thread) mode interleaves all components on one
@@ -10,6 +11,8 @@
 //    action; with conservative synchronization this yields the same
 //    simulation results and is how we measure per-component compute load on
 //    machines with fewer cores than components.
+//  * Pooled mode multiplexes components over a worker pool; blocked
+//    components promise their bound and park until a peer progresses.
 #pragma once
 
 #include <atomic>
@@ -23,6 +26,7 @@
 #include "des/kernel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/error.hpp"
 #include "sync/adapter.hpp"
 #include "sync/trunk.hpp"
 #include "util/time.hpp"
@@ -86,13 +90,42 @@ class Component;
 /// executing thread, at a point where c's state at simulation time b is
 /// final: every message with receive time <= b has been delivered and no
 /// future delivery at or before b can occur (conservative synchronization —
-/// the next batch time t satisfies t > b and t <= safe_bound()). Boundaries
+/// the next batch time t satisfies t > b and t <= Poll::bound). Boundaries
 /// fire in increasing order per component. Implementations must be
 /// thread-safe across components.
 class CkptHook {
  public:
   virtual ~CkptHook() = default;
   virtual void on_boundary(Component& c, SimTime boundary) = 0;
+};
+
+/// One consistent reading of a component's scheduling state, taken in a
+/// single pass with one peek() per adapter (Component::poll). Every runner
+/// applies the same rule to it: run a batch when next <= bound, finish when
+/// done(end), otherwise promise exactly `bound` to the peers (send_nulls)
+/// and poll again.
+///
+/// Soundness: a message that arrives after the poll carries a timestamp
+/// above the SYNCs already seen, so its receive time lies above `bound`.
+/// A poll therefore stays valid until acted on — bounds only grow — and a
+/// blocked component that promises `bound` never sends data below that
+/// promise, because all of its future actions lie beyond `bound`.
+struct Poll {
+  /// Earliest pending action: local event, message receive, or SYNC due.
+  SimTime next = kSimTimeMax;
+  /// Safe bound: min over adapters of the pending head's receive time, or
+  /// of the channel horizon when nothing is pending. kSimTimeMax without
+  /// adapters.
+  SimTime bound = kSimTimeMax;
+  /// The adapter that set `bound` (nullptr without adapters); blocked wait
+  /// time is attributed to it.
+  sync::Adapter* limiter = nullptr;
+
+  /// Nothing is left to do up to `end`: no action by then, and no message
+  /// can still arrive at or before it. (The coscheduled runner may finish
+  /// on next > end alone: in its global-minimum order every message due
+  /// by then is already in the channel.)
+  bool done(SimTime end) const { return next > end && bound >= end; }
 };
 
 class Component {
@@ -125,32 +158,25 @@ class Component {
 
   void prepare(SimTime end);
 
-  /// Earliest simulation time at which this component has something to do:
-  /// a local event, an incoming message, or a periodic sync emission.
-  SimTime next_action_time();
+  /// Read the next action time, the safe bound and its limiting adapter in
+  /// one pass (see Poll).
+  Poll poll();
 
-  /// Latest time this component may safely advance to (min over input
-  /// adapters of their bound). kSimTimeMax without adapters.
-  SimTime safe_bound();
-
-  /// Execute everything at next_action_time(). Returns false when blocked
-  /// (next_action_time() > safe_bound()) or past the end time.
-  bool advance_once();
+  /// Execute the batch at `p.next`. Requires a poll of this component with
+  /// p.next <= p.bound and p.next <= end_time(); it may be stale, since
+  /// later arrivals land above p.bound.
+  void advance(const Poll& p);
 
   bool finished() const { return finished_; }
 
   /// Mark completion: send FINs so peers never wait on us again.
   void finish();
 
-  /// Promise `bound` to every peer via null messages (only where the
+  /// Promise `p.bound` to every peer via null messages (only where the
   /// promise actually advances the peer's horizon). Returns true if any
   /// message was sent — the pooled scheduler uses this to decide whether
   /// blocked peers could have become runnable.
-  bool send_nulls(SimTime bound);
-
-  /// The adapter currently limiting safe_bound() (nullptr without
-  /// adapters). Blocked wait time is attributed to it for the profiler.
-  sync::Adapter* limiting_adapter();
+  bool send_nulls(const Poll& p);
 
   /// Order-insensitive determinism digest over all messages this component
   /// has received (merged across its adapters).
@@ -166,7 +192,7 @@ class Component {
   /// Install (or, with nullptr, remove) the checkpoint boundary observer.
   /// Boundaries are `first`, `first + every`, ... (every == 0: only
   /// `first`). Works in every run mode: all runners step components through
-  /// advance_once()/finish().
+  /// advance()/finish().
   void set_ckpt_hook(CkptHook* hook, SimTime first = 0, SimTime every = 0) {
     ckpt_hook_ = hook;
     ckpt_every_ = every;
@@ -281,5 +307,10 @@ class Component {
   obs::Gauge* g_batches_ = nullptr;
   obs::Histogram* h_queue_depth_ = nullptr;
 };
+
+/// The one deadlock diagnostic, shared by every runner: `c` cannot run
+/// because its poll `p` has next > bound and no peer can raise the bound.
+/// `detector` names who noticed (e.g. "coscheduled: no runnable component").
+SimulationError deadlock_error(const Component& c, const Poll& p, const std::string& detector);
 
 }  // namespace splitsim::runtime

@@ -2,6 +2,9 @@
 
 #include <sstream>
 
+#include "sync/channel.hpp"
+#include "sync/transport.hpp"
+
 namespace splitsim::runtime {
 
 std::string to_string(ErrorKind k) {
@@ -14,8 +17,27 @@ std::string to_string(ErrorKind k) {
       return "transport failure";
     case ErrorKind::kCheckpoint:
       return "checkpoint failure";
+    case ErrorKind::kSyncViolation:
+      return "synchronization violation";
   }
   return "?";
+}
+
+SimulationError to_simulation_error(std::exception_ptr e, const std::string& component,
+                                    SimTime sim_time) {
+  try {
+    std::rethrow_exception(e);
+  } catch (const SimulationError& err) {
+    return err;
+  } catch (const sync::SyncViolation& err) {
+    return SimulationError(ErrorKind::kSyncViolation, component, sim_time, err.what());
+  } catch (const sync::TransportError& err) {
+    return SimulationError(ErrorKind::kTransport, component, sim_time, err.what());
+  } catch (const std::exception& err) {
+    return SimulationError(ErrorKind::kModelError, component, sim_time, err.what());
+  } catch (...) {
+    return SimulationError(ErrorKind::kModelError, component, sim_time, "unknown exception");
+  }
 }
 
 namespace {

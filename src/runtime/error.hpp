@@ -10,6 +10,7 @@
 // attached so a long run's profile is not lost with the exception.
 #pragma once
 
+#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -29,6 +30,9 @@ enum class ErrorKind {
   kCheckpoint,  ///< checkpoint/restart failure: unreadable or corrupted
                 ///< snapshot, incompatible resume config, or a resumed
                 ///< replay diverging from the snapshot's recorded state
+  kSyncViolation,  ///< conservative-sync promise broken: data sent at or
+                   ///< below an emitted SYNC, or received below the batch
+                   ///< time (sync::SyncViolation); checked in every build
 };
 
 std::string to_string(ErrorKind k);
@@ -63,5 +67,13 @@ class SimulationError : public std::runtime_error {
   std::string cause_;
   std::shared_ptr<const RunStats> stats_;
 };
+
+/// The one mapping from an exception that escaped a run to a
+/// SimulationError, attributed to `component` at `sim_time` ("" and 0 when
+/// no single component is at fault). A SimulationError passes through
+/// unchanged; sync::SyncViolation becomes kSyncViolation,
+/// sync::TransportError kTransport, anything else kModelError.
+SimulationError to_simulation_error(std::exception_ptr e, const std::string& component = {},
+                                    SimTime sim_time = 0);
 
 }  // namespace splitsim::runtime

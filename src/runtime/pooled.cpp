@@ -22,8 +22,8 @@ namespace {
 class PooledRunner {
  public:
   PooledRunner(const std::vector<Component*>& components, const PooledOptions& opts)
-      : quantum_(std::max(1, opts.batch_quantum)),
-        watchdog_cycles_(opts.watchdog_cycles),
+      : watchdog_cycles_(opts.watchdog_cycles),
+        affinity_(opts.controller != nullptr),
         controller_(opts.controller),
         epoch_cycles_(opts.epoch_cycles) {
     slots_.reserve(components.size());
@@ -36,9 +36,6 @@ class PooledRunner {
     workers_ = std::max(1u, std::min<unsigned>(w, static_cast<unsigned>(slots_.size())));
     ws_.assign(workers_, PooledWorkerStats{});
 
-    // A controller needs stable per-worker homes to migrate between, so it
-    // forces affinity scheduling on.
-    affinity_ = opts.affinity || controller_ != nullptr;
     if (affinity_) wq_.resize(workers_);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       slots_[i].home = static_cast<unsigned>(i % workers_);
@@ -242,12 +239,8 @@ class PooledRunner {
       std::uint64_t b0 = rdcycles();
       try {
         run_quantum(s, c, progressed, finished, runnable);
-      } catch (const SimulationError&) {
-        throw;
-      } catch (const std::exception& e) {
-        throw SimulationError(ErrorKind::kModelError, c->name(), c->now(), e.what());
       } catch (...) {
-        throw SimulationError(ErrorKind::kModelError, c->name(), c->now(), "unknown exception");
+        throw to_simulation_error(std::current_exception(), c->name(), c->now());
       }
       std::uint64_t qcycles = (rdcycles() - b0) + drain_virtual_cycles();
       c->add_busy_cycles(qcycles);
@@ -355,50 +348,44 @@ class PooledRunner {
     }
   }
 
-  /// One scheduling quantum of `c`: advance up to quantum_ batches, then
-  /// classify the component as finished / runnable / blocked (parking it
-  /// with wait attribution in the blocked case).
+  /// One scheduling quantum of `c`: advance up to kBatchQuantum batches,
+  /// then classify the component as finished / runnable / blocked (parking
+  /// it with wait attribution in the blocked case).
   void run_quantum(Slot& s, Component* c, bool& progressed, bool& finished, bool& runnable) {
     int batches = 0;
-    while (batches < quantum_) {
+    bool promised = false;  // a promise round since the last batch
+    for (Poll p = c->poll();; p = c->poll()) {
       // Another worker failed: stop mid-quantum instead of finishing a
       // potentially long quantum against dead peers.
       if (abort_.load(std::memory_order_relaxed)) return;
-      SimTime t = c->next_action_time();
-      if (t > c->end_time()) {
+      if (p.done(c->end_time())) {
         c->finish();  // sends FINs: unbounds every peer's horizon
         finished = true;
         progressed = true;
-        break;
+        return;
       }
-      if (!c->advance_once()) break;
-      progressed = true;
-      ++batches;
-    }
-    if (!finished) {
-      SimTime t = c->next_action_time();
-      if (t > c->end_time()) {
-        c->finish();
-        finished = true;
-        progressed = true;
-      } else if (t <= c->safe_bound()) {
-        runnable = true;  // quantum expired; round-robin back into the queue
-      } else {
-        // Blocked: promise the current bound to all peers, then park.
-        // Null sends advance next_sync_due, so re-check runnability after.
-        progressed |= c->send_nulls(c->safe_bound());
-        t = c->next_action_time();
-        if (t > c->end_time()) {
-          c->finish();
-          finished = true;
-          progressed = true;
-        } else if (t <= c->safe_bound()) {
-          runnable = true;
-        } else {
-          s.wait_attr = c->limiting_adapter();
-          s.blocked_since = s.park_t0 = rdcycles();
+      if (p.next <= p.bound) {
+        if (batches == kBatchQuantum) {
+          runnable = true;  // quantum expired; round-robin back into the queue
+          return;
         }
+        c->advance(p);
+        progressed = true;
+        promised = false;
+        ++batches;
+        continue;
       }
+      // Blocked: promise exactly the polled bound to all peers, then poll
+      // once more (the promise moves next_sync_due, and peers may have sent
+      // meanwhile). Still blocked: park. A peer that raises the bound later
+      // wakes this component when its own quantum ends.
+      if (promised || !c->send_nulls(p)) {
+        s.wait_attr = p.limiter;
+        s.blocked_since = s.park_t0 = rdcycles();
+        return;
+      }
+      promised = true;
+      progressed = true;
     }
   }
 
@@ -422,46 +409,28 @@ class PooledRunner {
   /// adapters races with no one.
   void rescue_scan_locked() {
     bool woke = false;
+    // Attribute a deadlock to the blocked component with the earliest
+    // pending action — the one the whole simulation is waiting behind.
+    Component* worst = nullptr;
+    Poll worst_p;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       Slot& s = slots_[i];
       if (s.state != St::kBlocked) continue;
       Component* c = s.comp;
-      SimTime t = c->next_action_time();
-      if (t > c->end_time() || t <= c->safe_bound()) {
+      Poll p = c->poll();
+      if (p.done(c->end_time()) || p.next <= p.bound) {
         s.state = St::kReady;
         enqueue_locked(i);
         cv_.notify_one();
         woke = true;
+      } else if (worst == nullptr || p.next < worst_p.next) {
+        worst = c;
+        worst_p = p;
       }
     }
-    if (!woke) {
-      // Attribute the deadlock to the blocked component with the earliest
-      // pending action — the one the whole simulation is waiting behind.
-      Slot* worst = nullptr;
-      SimTime worst_t = kSimTimeMax;
-      for (auto& s : slots_) {
-        if (s.state != St::kBlocked) continue;
-        SimTime t = s.comp->next_action_time();
-        if (worst == nullptr || t < worst_t) {
-          worst = &s;
-          worst_t = t;
-        }
-      }
-      std::ostringstream os;
-      os << "pooled: no runnable component";
-      if (worst != nullptr) {
-        os << "; next action " << to_ns(worst_t) << " ns beyond safe bound "
-           << to_ns(worst->comp->safe_bound()) << " ns";
-        if (sync::Adapter* lim = worst->comp->limiting_adapter()) {
-          os << ", blocked on adapter '" << lim->name() << "'";
-          if (!lim->peer_component().empty()) os << " toward '" << lim->peer_component() << "'";
-        }
-      }
-      os << " (is sync_interval <= latency and every channel end attached?)";
-      throw SimulationError(ErrorKind::kDeadlock,
-                            worst != nullptr ? worst->comp->name() : std::string(),
-                            worst != nullptr ? worst->comp->now() : 0, os.str());
-    }
+    if (woke) return;
+    // Every live slot is parked here, so some slot is blocked.
+    throw deadlock_error(*worst, worst_p, "pooled: no runnable component");
   }
 
   /// Slow-progress watchdog (see PooledOptions::watchdog_cycles): fires when
@@ -500,14 +469,17 @@ class PooledRunner {
   }
 
   static constexpr std::uint64_t kWatchdogMinQuanta = 128;
+  /// Max batches per scheduling quantum (fairness between components).
+  static constexpr int kBatchQuantum = 1024;
 
-  const int quantum_;
   const std::uint64_t watchdog_cycles_;
   SimTime watchdog_min_time_ = 0;
   std::uint64_t watchdog_since_ = 0;
   std::uint64_t watchdog_quanta_ = 0;
   unsigned workers_ = 1;
-  bool affinity_ = false;
+  /// Per-worker affinity queues with work stealing. A controller needs
+  /// stable homes to migrate between, so it turns them on.
+  const bool affinity_;
 
   PooledController* const controller_;
   std::uint64_t epoch_cycles_;

@@ -9,9 +9,9 @@
 // break. The pooled runner instead keeps one runnable-component queue:
 //
 //   * A component is runnable when its earliest action is within the safe
-//     bound promised by its inbound channel horizons (the same conservative
-//     lookahead rule the other modes use).
-//   * A blocked component promises its current bound to all peers (null
+//     bound promised by its inbound channel horizons — the Poll rule every
+//     mode shares (runtime/component.hpp).
+//   * A blocked component promises its polled bound to all peers (null
 //     messages) and parks — no busy spinning; it is re-enqueued when a peer
 //     makes progress that could have advanced its horizon.
 //   * Idle workers park on a condition variable (no busy spin), satisfying
@@ -111,8 +111,6 @@ struct PooledOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency(), always
   /// clamped to [1, #components].
   unsigned workers = 0;
-  /// Max advance_once() batches per scheduling quantum (fairness knob).
-  int batch_quantum = 1024;
   /// Slow-progress watchdog: abort with an attributed
   /// SimulationError(kDeadlock) when the minimum simulation time across
   /// live components fails to advance for this many TSC cycles even though
@@ -121,14 +119,12 @@ struct PooledOptions {
   /// when nothing is runnable). 0 = disabled.
   std::uint64_t watchdog_cycles = 0;
 
-  /// Epoch-boundary controller (adaptive orchestration); implies affinity
-  /// scheduling. Must outlive the run. nullptr = no epochs.
+  /// Epoch-boundary controller (adaptive orchestration); turns on per-worker
+  /// affinity queues with work stealing. Must outlive the run. nullptr = no
+  /// epochs and one global ready queue.
   PooledController* controller = nullptr;
   /// Wall-clock epoch length in TSC cycles (only with a controller).
   std::uint64_t epoch_cycles = 0;
-  /// Per-worker affinity queues with work stealing even without a
-  /// controller (the controller turns this on regardless).
-  bool affinity = false;
   /// When set, the runner exports live per-channel ("pooled.wait.chan.<c>")
   /// and per-component ("pooled.wait.comp.<c>") blocked-wait cycle counters
   /// into this registry mid-run — the WTPG edge data, available while the

@@ -325,17 +325,9 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
           } catch (const sync::AbortedError&) {
             // Secondary failure: this thread was unwound because the run is
             // already aborting. Never overwrites the original error.
-          } catch (const sync::TransportError& e) {
-            shared.fail(std::make_exception_ptr(SimulationError(
-                ErrorKind::kTransport, comp->name(), comp->now(), e.what())));
-          } catch (const SimulationError&) {
-            shared.fail(std::current_exception());
-          } catch (const std::exception& e) {
-            shared.fail(std::make_exception_ptr(SimulationError(
-                ErrorKind::kModelError, comp->name(), comp->now(), e.what())));
           } catch (...) {
-            shared.fail(std::make_exception_ptr(SimulationError(
-                ErrorKind::kModelError, comp->name(), comp->now(), "unknown exception")));
+            shared.fail(std::make_exception_ptr(
+                to_simulation_error(std::current_exception(), comp->name(), comp->now())));
           }
         });
       }
@@ -372,60 +364,48 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
         std::size_t unfinished = active.size();
         while (unfinished > 0) {
           Component* best = nullptr;
-          SimTime best_t = kSimTimeMax;
+          Poll best_p;
           SimTime second_t = kSimTimeMax;
           for (Component* c : active) {
             if (c->finished()) continue;
-            SimTime t = c->next_action_time();
-            if (t > c->end_time()) {
+            Poll p = c->poll();
+            if (p.next > c->end_time()) {  // sound without the bound: see Poll::done
               active_comp = c;
               c->finish();
               --unfinished;
               continue;
             }
-            if (t < best_t) {
-              second_t = best_t;
-              best_t = t;
+            if (p.next < best_p.next) {
+              second_t = best_p.next;
+              best_p = p;
               best = c;
-            } else if (t < second_t) {
-              second_t = t;
+            } else if (p.next < second_t) {
+              second_t = p.next;
             }
           }
           if (unfinished == 0) break;
           if (best == nullptr) continue;  // finishing pass removed candidates
-          if (best_t > best->safe_bound()) {
+          // A peer that finished later in the scan may have unbounded best
+          // with its FIN: re-poll before calling it blocked.
+          if (best_p.next > best_p.bound) best_p = best->poll();
+          if (best_p.next > best_p.bound) {
             // The earliest component is blocked; with sync_interval <= latency
             // this cannot happen (its peer would have an earlier sync action).
-            std::ostringstream os;
-            os << "coscheduled: no runnable component; next action " << to_ns(best_t)
-               << " ns beyond safe bound " << to_ns(best->safe_bound()) << " ns";
-            if (sync::Adapter* lim = best->limiting_adapter()) {
-              os << ", blocked on adapter '" << lim->name() << "'";
-              if (!lim->peer_component().empty()) {
-                os << " toward '" << lim->peer_component() << "'";
-              }
-            }
-            os << " (is sync_interval <= latency and every channel end attached?)";
-            throw SimulationError(ErrorKind::kDeadlock, best->name(), best->now(), os.str());
+            throw deadlock_error(*best, best_p, "coscheduled: no runnable component");
           }
           active_comp = best;
           std::uint64_t b0 = rdcycles();
-          while (!best->finished()) {
-            if (!best->advance_once()) break;
-            if (best->next_action_time() > second_t) break;
+          for (Poll p = best_p;;) {
+            best->advance(p);
+            p = best->poll();
+            if (p.next > second_t || p.next > best->end_time() || p.next > p.bound) break;
           }
           best->add_busy_cycles((rdcycles() - b0) + drain_virtual_cycles());
         }
-      } catch (const SimulationError&) {
-        throw;
-      } catch (const sync::TransportError& e) {
-        throw SimulationError(ErrorKind::kTransport,
-                              active_comp != nullptr ? active_comp->name() : "",
-                              active_comp != nullptr ? active_comp->now() : 0, e.what());
-      } catch (const std::exception& e) {
-        throw SimulationError(ErrorKind::kModelError,
-                              active_comp != nullptr ? active_comp->name() : "",
-                              active_comp != nullptr ? active_comp->now() : 0, e.what());
+      } catch (...) {
+        throw to_simulation_error(std::current_exception(),
+                                  active_comp != nullptr ? active_comp->name() : "",
+                                  active_comp != nullptr ? active_comp->now() : 0);
       }
     }
   } catch (...) {
@@ -443,19 +423,7 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
     // Uniform failure contract: whatever escaped the run mode leaves here
     // as a SimulationError with the partial stats of the aborted run
     // attached, so hours of profile data survive the failure.
-    SimulationError out = [&] {
-      try {
-        std::rethrow_exception(run_error);
-      } catch (const SimulationError& e) {
-        return e;
-      } catch (const sync::TransportError& e) {
-        return SimulationError(ErrorKind::kTransport, "", 0, e.what());
-      } catch (const std::exception& e) {
-        return SimulationError(ErrorKind::kModelError, "", 0, e.what());
-      } catch (...) {
-        return SimulationError(ErrorKind::kModelError, "", 0, "unknown exception");
-      }
-    }();
+    SimulationError out = to_simulation_error(run_error);
     rs.outcome = RunOutcome::kError;
     rs.error = out.what();
     rs.error_component = out.component();

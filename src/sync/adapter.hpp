@@ -46,17 +46,22 @@ class Adapter {
 
   // ---- receive side --------------------------------------------------
 
-  /// Receive time of the oldest pending data message, or kSimTimeMax.
-  SimTime head_rx() {
-    const Message* m = end_->peek();
-    return m == nullptr ? kSimTimeMax : m->timestamp + config().latency;
-  }
+  /// One reading of the receive side (see rx_peek()).
+  struct RxPeek {
+    /// Local events with time <= bound are safe to execute: the pending
+    /// head's receive time, or the channel horizon when nothing is pending.
+    SimTime bound;
+    /// Receive time of the oldest pending data message, or kSimTimeMax.
+    SimTime head;
+  };
 
-  /// Local events with time <= in_bound() are safe to execute.
-  SimTime in_bound() {
+  /// Read bound and head with a single peek(), so the two agree even while
+  /// the peer keeps sending.
+  RxPeek rx_peek() {
     const Message* m = end_->peek();
-    if (m != nullptr) return m->timestamp + config().latency;
-    return end_->horizon();
+    if (m == nullptr) return {end_->horizon(), kSimTimeMax};
+    SimTime rx = m->timestamp + config().latency;
+    return {rx, rx};
   }
 
   /// Deliver the oldest pending message if its receive time is <= `now`.
@@ -81,6 +86,8 @@ class Adapter {
   /// batched ring/spill traversal (single atomic acquire per batch; see
   /// ChannelEnd::drain_until). Per-message semantics — digest fold,
   /// dispatch at timestamp + latency, FIFO order — match deliver_one().
+  /// `now` is the batch time: a message whose receive time lies below it
+  /// missed its own batch, so a promise was broken — throws SyncViolation.
   /// Returns the number of messages delivered.
   std::size_t deliver_all(SimTime now) {
     SimTime lat = config().latency;
@@ -88,6 +95,12 @@ class Adapter {
     std::uint64_t c0 = rdcycles();
     std::uint64_t ch = channel_hash();
     std::size_t n = end_->drain_until(now - lat, [&](const Message& m) {
+      if (m.timestamp + lat < now) {
+        throw SyncViolation(end_->channel_name(),
+                            "message with receive time " + std::to_string(m.timestamp + lat) +
+                                " ps arrived after the batch at that time; delivered at " +
+                                std::to_string(now) + " ps");
+      }
       digest_.add(hash_event(ch, m));
       if (obs::tracing_enabled()) {
         obs::record_flow(false, trace_track_, m.timestamp + lat, obs::flow_id(ch, m.timestamp));

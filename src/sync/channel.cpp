@@ -19,6 +19,10 @@ Channel::Channel(std::string name, ChannelConfig cfg)
   end_b_.rx_spill_ = &a_spill_;
   end_b_.tx_spill_count_ = &b_spill_count_;
   end_b_.rx_spill_count_ = &a_spill_count_;
+  for (ChannelEnd* e : {&end_a_, &end_b_}) {
+    e->latency_ = cfg.latency;
+    e->horizon_ = cfg.latency == 0 ? 0 : cfg.latency - 1;  // nothing received yet
+  }
   rewire();
 }
 
@@ -44,7 +48,6 @@ void Channel::set_transport(std::unique_ptr<Transport> t) {
   rewire();
 }
 
-const ChannelConfig& ChannelEnd::config() const { return channel_->cfg_; }
 const std::string& ChannelEnd::channel_name() const { return channel_->name_; }
 
 bool ChannelEnd::push_with_backpressure(const Message& msg, std::uint64_t& spin_cycles) {
@@ -127,7 +130,11 @@ std::uint64_t ChannelEnd::send(Message msg) {
     // Promise discipline (nulls are emitted only while every pending local
     // action lies strictly beyond the promise) keeps data ahead of the
     // wire timestamp; the receiver's inclusive horizon depends on it.
-    assert(!sent_anything_ || msg.timestamp > last_sent_);
+    if (sent_anything_ && msg.timestamp <= last_sent_) {
+      throw SyncViolation(channel_->name_, "data timestamp " + std::to_string(msg.timestamp) +
+                                               " ps is not above the last promise " +
+                                               std::to_string(last_sent_) + " ps");
+    }
     last_data_sent_ = msg.timestamp;
     sent_data_ = true;
     if (ckpt_window_enabled_) {
@@ -234,9 +241,8 @@ const Message* ChannelEnd::peek() {
       }
     }
     if (m == nullptr) return nullptr;
-    if (m->timestamp > last_recv_) last_recv_ = m->timestamp;
+    note_recv(*m);
     if (m->is_sync() || m->is_fin()) {
-      if (m->is_fin()) fin_received_ = true;
       if (from_spill) {
         spill_pop();
       } else {

@@ -78,6 +78,18 @@ class AbortedError : public std::runtime_error {
       : std::runtime_error("send on channel '" + channel + "' aborted: run is failing") {}
 };
 
+/// A conservative-synchronization promise was broken on a channel: a data
+/// message timestamped at or below a SYNC its sender already emitted, or a
+/// message delivered after the batch at its receive time had passed.
+/// Checked in every build — an assert vanishes under NDEBUG and leaves the
+/// receiver scheduling into the past. The runner reports it as
+/// SimulationError(kSyncViolation) naming the executing component.
+class SyncViolation : public std::runtime_error {
+ public:
+  SyncViolation(const std::string& channel, const std::string& what)
+      : std::runtime_error("channel '" + channel + "': " + what) {}
+};
+
 class Channel;
 
 /// One endpoint of a channel: produces into one ring, consumes the other.
@@ -93,6 +105,7 @@ class ChannelEnd {
   /// SYNC/FIN timestamps are clamped up to the wire timestamp (ties
   /// allowed). Blocks (kBlocking mode) or grows the spill queue (spill
   /// modes) when the ring is full. Returns cycles spent on backpressure.
+  /// Throws SyncViolation for data at or below the last wire timestamp.
   std::uint64_t send(Message msg);
 
   /// Highest timestamp sent so far on the wire (data or sync).
@@ -168,12 +181,12 @@ class ChannelEnd {
     return tx_stalls_.load(std::memory_order_relaxed);
   }
 
-  /// Time up to which (inclusive) the local simulator may safely advance.
-  SimTime horizon() const {
-    if (fin_received()) return kSimTimeMax;
-    SimTime h = last_recv_ + config().latency;
-    return h < last_recv_ ? kSimTimeMax : h;  // overflow guard
-  }
+  /// Time up to which (inclusive) the local simulator may safely advance:
+  /// last_recv() + latency, unbounded after FIN. Before the first message
+  /// the peer may still send data stamped 0, received at exactly the
+  /// latency, so only earlier times are safe. Kept up to date on receive,
+  /// because every runner poll reads it.
+  SimTime horizon() const { return horizon_; }
 
   /// Sync interval currently in force on this end: the channel's tuned
   /// override when one is set (adaptive orchestration), otherwise the
@@ -189,6 +202,17 @@ class ChannelEnd {
   bool push_with_backpressure(const Message& msg, std::uint64_t& spin_cycles);
   const Message* spill_front(bool& from_spill);
   void spill_pop();
+  /// Account a received message (data, SYNC or FIN) in the horizon state.
+  void note_recv(const Message& m) {
+    if (m.timestamp > last_recv_) last_recv_ = m.timestamp;
+    if (m.is_fin()) {
+      fin_received_ = true;
+      horizon_ = kSimTimeMax;
+    } else if (horizon_ != kSimTimeMax) {
+      SimTime h = last_recv_ + latency_;
+      horizon_ = h < last_recv_ ? kSimTimeMax : h;  // overflow guard
+    }
+  }
 
   Channel* channel_ = nullptr;
   MessageRing* tx_ = nullptr;  ///< null when the transport sends direct
@@ -204,6 +228,8 @@ class ChannelEnd {
   SimTime last_sent_ = 0;       ///< wire timestamp: data + sync + fin
   SimTime last_data_sent_ = 0;  ///< data only; drives the monotonicity bump
   SimTime last_recv_ = 0;
+  SimTime latency_ = 0;  ///< channel latency (immutable after construction)
+  SimTime horizon_ = 0;  ///< see horizon(); maintained by note_recv
   std::atomic<bool> fin_received_{false};  ///< see fin_received()
   bool sent_anything_ = false;
   bool sent_data_ = false;
@@ -309,6 +335,8 @@ class Channel {
   void rewire();
 };
 
+inline const ChannelConfig& ChannelEnd::config() const { return channel_->cfg_; }
+
 inline SimTime ChannelEnd::effective_sync_interval() const {
   SimTime t = channel_->tuned_sync_interval_.load(std::memory_order_relaxed);
   return t != 0 ? t : config().effective_sync_interval();
@@ -325,9 +353,8 @@ std::size_t ChannelEnd::drain_until(SimTime wire_limit, F&& on_data) {
     std::size_t n = rx_->ready();
     for (std::size_t i = 0; i < n; ++i) {
       const Message& m = rx_->front_unsynchronized();
-      if (m.timestamp > last_recv_) last_recv_ = m.timestamp;
+      note_recv(m);
       if (m.is_sync() || m.is_fin()) {
-        if (m.is_fin()) fin_received_ = true;
         rx_->pop();
         continue;
       }
@@ -349,9 +376,8 @@ std::size_t ChannelEnd::drain_until(SimTime wire_limit, F&& on_data) {
       std::size_t popped = 0;
       while (!rx_spill_->empty()) {
         const Message& front = rx_spill_->front();
-        if (front.timestamp > last_recv_) last_recv_ = front.timestamp;
+        note_recv(front);
         if (front.is_sync() || front.is_fin()) {
-          if (front.is_fin()) fin_received_ = true;
           rx_spill_->pop_front();
           ++popped;
           continue;
@@ -383,12 +409,9 @@ std::size_t ChannelEnd::drain_until(SimTime wire_limit, F&& on_data) {
         std::lock_guard<std::mutex> g(channel_->spill_mu_);
         while (!rx_spill_->empty()) {
           const Message& m = rx_spill_->front();
-          if (m.timestamp > last_recv_) last_recv_ = m.timestamp;
-          if (m.is_sync() || m.is_fin()) {
-            if (m.is_fin()) fin_received_ = true;
-          } else if (m.timestamp > wire_limit) {
-            break;
-          } else {
+          note_recv(m);
+          if (!m.is_sync() && !m.is_fin()) {
+            if (m.timestamp > wire_limit) break;
             spill_scratch_.push_back(m);
           }
           rx_spill_->pop_front();

@@ -407,6 +407,13 @@ TEST(ChildReport, RoundTripPreservesEveryField) {
   EXPECT_EQ(g.wire_tx_datas, 55u);
   EXPECT_EQ(g.futex_parks, 66u);
   EXPECT_EQ(g.futex_wakes, 77u);
+
+  // The last ErrorKind passes the parser's range check.
+  w.error_kind = ErrorKind::kSyncViolation;
+  orch::write_report(path, w);
+  g = orch::read_report(path);
+  EXPECT_EQ(g.outcome, "error");
+  EXPECT_EQ(g.error_kind, ErrorKind::kSyncViolation);
 }
 
 TEST(ChildReport, MissingFileIsInvalidNotFatal) {

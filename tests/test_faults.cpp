@@ -59,6 +59,26 @@ class Counter : public Component {
   int received = 0;
 };
 
+/// Sends one data message stamped `stamp` from an event at `at`. With
+/// `stamp` below a periodic SYNC this end already emitted, the message
+/// breaks the promise that SYNC made.
+class Backdater : public Component {
+ public:
+  Backdater(std::string name, sync::ChannelEnd& end, SimTime at, SimTime stamp)
+      : Component(std::move(name)), at_(at), stamp_(stamp) {
+    adapter_ = &add_adapter("out", end);
+  }
+
+  void init() override {
+    kernel().schedule_at(at_, [this] { adapter_->send(kDataType, 0, stamp_); });
+  }
+
+ private:
+  sync::Adapter* adapter_;
+  SimTime at_;
+  SimTime stamp_;
+};
+
 /// A component whose only adapter's peer end is never attached: its horizon
 /// never advances, so it blocks shortly after start. (The classic
 /// sync_interval > latency misconfiguration cannot deadlock here —
@@ -137,6 +157,34 @@ TEST_P(FaultModes, DeadlockSurfacesAsSimulationError) {
     EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
     ASSERT_NE(e.stats(), nullptr);
     EXPECT_EQ(e.stats()->outcome, RunOutcome::kError);
+  }
+}
+
+TEST_P(FaultModes, BackdatedDataSurfacesAsSyncViolation) {
+  Simulation sim;
+  sim.set_watchdog_ms(2000);  // must not be what fires
+  auto& ch = sim.add_channel("backdated", {.latency = 500});
+  // SYNCs go out every 500 ps, so by 2000 ps the wire has promised >= 1500 ps.
+  sim.add_component<Backdater>("liar", ch.end_a(), 2000, 100);
+  sim.add_component<Counter>("dst", ch.end_b());
+
+  try {
+    sim.run(5000, GetParam());
+    FAIL() << "run() should have thrown";
+  } catch (const SimulationError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kSyncViolation) << e.what();
+    EXPECT_EQ(e.component(), "liar");
+    const std::string what = e.what();
+    EXPECT_NE(what.find("synchronization violation"), std::string::npos) << what;
+    EXPECT_NE(what.find("'backdated'"), std::string::npos) << what;
+    // The promise value itself depends on null-message timing in the
+    // parallel modes; the data timestamp does not.
+    EXPECT_NE(what.find("data timestamp 100 ps is not above the last promise"),
+              std::string::npos)
+        << what;
+    ASSERT_NE(e.stats(), nullptr);
+    EXPECT_EQ(e.stats()->outcome, RunOutcome::kError);
+    EXPECT_EQ(e.stats()->error_component, "liar");
   }
 }
 

@@ -109,6 +109,9 @@ TEST(ShmRingTest, FullRingBackpressureParksProducer) {
     }
   });
 
+  // Start draining only once the producer has found the ring full: a
+  // consumer that keeps pace from the first send would never stall it.
+  while (ch.end_a().tx_backpressure_stalls() == 0) std::this_thread::yield();
   std::uint64_t expect = 0;
   while (expect < kCount) {
     ch.end_b().drain_until(kSimTimeMax, [&](const Message& m) {
@@ -436,7 +439,7 @@ TEST(TransportFailureTest, PeerDeathAttributedAndArtifactsSalvaged) {
   // partial stats attached, and the merged summary must still land on disk
   // (the teardown-ordering satellite).
   const std::string out = "test-transport-out/peer-death";
-  ::setenv("SPLITSIM_DEBUG_KILL", "1:300", 1);
+  ::setenv("SPLITSIM_DEBUG_KILL", "1:100", 1);
   struct EnvGuard {
     ~EnvGuard() { ::unsetenv("SPLITSIM_DEBUG_KILL"); }
   } guard;
