@@ -63,6 +63,8 @@ std::string summary_json(const SummaryInputs& in) {
     std::snprintf(dig, sizeof(dig), "0x%016llx",
                   static_cast<unsigned long long>(st.digest.value()));
     out += ",\"digest\":\"" + std::string(dig) + "\"";
+    out += ",\"sched_polls\":" + std::to_string(st.sched_polls);
+    out += ",\"sched_cycles\":" + std::to_string(st.sched_cycles);
     if (!st.pooled_workers.empty()) {
       // Per-worker pooled scheduling stats: the load-imbalance view the
       // adaptive rebalancer works from (empty for other run modes).

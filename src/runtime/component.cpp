@@ -102,6 +102,18 @@ void Component::record_ckpt_boundaries(SimTime limit) {
 
 void Component::finish() {
   if (finished_) return;
+  // A data message due by the end must have been delivered: one still
+  // pending here means a runner finished this component too early, and
+  // the message would vanish from the results without a trace.
+  for (auto& a : adapters_) {
+    SimTime rx = a->rx_peek().head;
+    if (rx <= end_) {
+      throw sync::SyncViolation(a->end().channel_name(),
+                                "data message with receive time " + std::to_string(rx) +
+                                    " ps still pending at finish (end " +
+                                    std::to_string(end_) + " ps)");
+    }
+  }
   finished_ = true;
   // Trailing boundaries are final here: this component delivers nothing
   // after finish, and final digests are mode-deterministic. Boundaries
@@ -154,7 +166,7 @@ void Component::run_thread(ThreadedShared& shared) {
     if (p.next <= p.bound) {
       std::uint64_t b0 = rdcycles();
       advance(p);
-      busy_cycles_ += (rdcycles() - b0) + drain_virtual_cycles();
+      add_busy_cycles(rdcycles() - b0);
       p = poll();
       continue;
     }

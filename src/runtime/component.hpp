@@ -8,9 +8,11 @@
 //    profiler) and exchange null messages, exactly like SimBricks processes.
 //  * Coscheduled (single-thread) mode interleaves all components on one
 //    thread, always advancing the component with the globally earliest next
-//    action; with conservative synchronization this yields the same
-//    simulation results and is how we measure per-component compute load on
-//    machines with fewer cores than components.
+//    action, kept in an indexed min-heap keyed on Poll::next that is
+//    re-keyed only for the component that ran and the peers it sent data
+//    to; with conservative synchronization this yields the same simulation
+//    results and is how we measure per-component compute load on machines
+//    with fewer cores than components.
 //  * Pooled mode multiplexes components over a worker pool; blocked
 //    components promise their bound and park until a peer progresses.
 #pragma once
@@ -29,6 +31,7 @@
 #include "runtime/error.hpp"
 #include "sync/adapter.hpp"
 #include "sync/trunk.hpp"
+#include "util/cycles.hpp"
 #include "util/time.hpp"
 
 namespace splitsim::runtime {
@@ -122,9 +125,10 @@ struct Poll {
   sync::Adapter* limiter = nullptr;
 
   /// Nothing is left to do up to `end`: no action by then, and no message
-  /// can still arrive at or before it. (The coscheduled runner may finish
-  /// on next > end alone: in its global-minimum order every message due
-  /// by then is already in the channel.)
+  /// can still arrive at or before it. (The coscheduled runner instead
+  /// finishes everyone at once when the smallest `next` of all components
+  /// passes `end`: then no component runs again, so no message can still
+  /// be sent. Component::finish() checks that nothing due was left.)
   bool done(SimTime end) const { return next > end && bound >= end; }
 };
 
@@ -169,7 +173,9 @@ class Component {
 
   bool finished() const { return finished_; }
 
-  /// Mark completion: send FINs so peers never wait on us again.
+  /// Mark completion: send FINs so peers never wait on us again. Throws
+  /// sync::SyncViolation if a data message with receive time <= end_time()
+  /// is still pending (it would otherwise be dropped silently).
   void finish();
 
   /// Promise `p.bound` to every peer via null messages (only where the
@@ -218,7 +224,18 @@ class Component {
   const std::vector<ProfSample>& samples() const { return samples_; }
 
   std::uint64_t busy_cycles() const { return busy_cycles_; }
-  void add_busy_cycles(std::uint64_t c) { busy_cycles_ += c; }
+  /// Charge `measured` wall cycles of work plus the modeled host work the
+  /// models charged on this thread meanwhile (util/cycles.hpp), which is
+  /// also kept apart in virtual_cycles(). Returns the total charged.
+  std::uint64_t add_busy_cycles(std::uint64_t measured) {
+    std::uint64_t v = drain_virtual_cycles();
+    virtual_cycles_ += v;
+    busy_cycles_ += measured + v;
+    return measured + v;
+  }
+  /// The modeled part of busy_cycles(): deterministic for a given
+  /// simulation, unlike the measured part.
+  std::uint64_t virtual_cycles() const { return virtual_cycles_; }
   std::uint64_t wall_cycles() const { return wall_cycles_; }
   void set_wall_cycles(std::uint64_t c) { wall_cycles_ = c; }
   /// Threaded mode only: cycles spent in the post-finish drain phase
@@ -267,6 +284,7 @@ class Component {
   bool finished_ = false;
 
   std::uint64_t busy_cycles_ = 0;
+  std::uint64_t virtual_cycles_ = 0;
   std::uint64_t wall_cycles_ = 0;
   std::uint64_t drain_cycles_ = 0;
   std::uint64_t batches_ = 0;

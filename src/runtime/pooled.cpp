@@ -242,8 +242,7 @@ class PooledRunner {
       } catch (...) {
         throw to_simulation_error(std::current_exception(), c->name(), c->now());
       }
-      std::uint64_t qcycles = (rdcycles() - b0) + drain_virtual_cycles();
-      c->add_busy_cycles(qcycles);
+      std::uint64_t qcycles = c->add_busy_cycles(rdcycles() - b0);
       if (abort_.load(std::memory_order_relaxed)) {
         return;  // another worker failed; drop out without re-queueing
       }

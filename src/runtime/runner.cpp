@@ -63,6 +63,66 @@ class ScopeGuard {
   bool armed_ = true;
 };
 
+/// Indexed binary min-heap over the coscheduled runner's component slots,
+/// ordered by (polls[slot].next, slot). The slot tie-break picks the first
+/// of equal candidates in `active` order, as a linear scan would. Every
+/// slot stays in the heap for the whole run; update() restores the order
+/// after a slot's key moved in either direction.
+class SlotHeap {
+ public:
+  explicit SlotHeap(const std::vector<Poll>& polls) : polls_(polls), pos_(polls.size()) {
+    heap_.reserve(polls.size());
+    for (std::uint32_t s = 0; s < polls.size(); ++s) {
+      heap_.push_back(s);
+      sift_up(s);
+    }
+  }
+
+  bool empty() const { return heap_.empty(); }
+  std::uint32_t top() const { return heap_[0]; }
+
+  /// Smallest key among the other slots (a child of the root), or
+  /// kSimTimeMax when the top is alone.
+  SimTime second_key() const {
+    SimTime k = kSimTimeMax;
+    for (std::size_t i = 1; i <= 2 && i < heap_.size(); ++i) k = std::min(k, key(heap_[i]));
+    return k;
+  }
+
+  void update(std::uint32_t slot) {
+    sift_up(pos_[slot]);
+    sift_down(pos_[slot]);
+  }
+
+ private:
+  SimTime key(std::uint32_t s) const { return polls_[s].next; }
+  bool before(std::uint32_t a, std::uint32_t b) const {
+    return key(a) < key(b) || (key(a) == key(b) && a < b);
+  }
+  void place(std::size_t i, std::uint32_t s) {
+    heap_[i] = s;
+    pos_[s] = static_cast<std::uint32_t>(i);
+  }
+  void sift_up(std::size_t i) {
+    std::uint32_t s = heap_[i];
+    for (; i > 0 && before(s, heap_[(i - 1) / 2]); i = (i - 1) / 2) place(i, heap_[(i - 1) / 2]);
+    place(i, s);
+  }
+  void sift_down(std::size_t i) {
+    std::uint32_t s = heap_[i];
+    for (std::size_t c; (c = 2 * i + 1) < heap_.size(); i = c) {
+      if (c + 1 < heap_.size() && before(heap_[c + 1], heap_[c])) ++c;
+      if (!before(heap_[c], s)) break;
+      place(i, heap_[c]);
+    }
+    place(i, s);
+  }
+
+  const std::vector<Poll>& polls_;
+  std::vector<std::uint32_t> heap_;
+  std::vector<std::uint32_t> pos_;
+};
+
 }  // namespace
 
 sync::Channel& Simulation::add_channel(std::string name, sync::ChannelConfig cfg) {
@@ -149,6 +209,8 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
   metrics_series_.clear();
   counter_track_ids_.clear();
   pooled_workers_.clear();
+  sched_polls_ = 0;
+  sched_cycles_ = 0;
   if (obs_.any()) {
     // Calibrate the cycle clock before component threads start: the first
     // cycles_per_second() call sleeps ~20ms.
@@ -354,59 +416,7 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
       // RunStats attached to the error still carry the imbalance view.
       run_pooled(comps, opts, &pooled_workers_);
     } else {
-      // Coscheduled: always advance the runnable component with the earliest
-      // next action. Conservative synchronization makes any safe order
-      // equivalent; picking the minimum guarantees liveness. To amortize the
-      // selection scan, the chosen component keeps advancing until it passes
-      // the second-earliest action time or blocks.
-      Component* active_comp = nullptr;  // attribution for escaping model errors
-      try {
-        std::size_t unfinished = active.size();
-        while (unfinished > 0) {
-          Component* best = nullptr;
-          Poll best_p;
-          SimTime second_t = kSimTimeMax;
-          for (Component* c : active) {
-            if (c->finished()) continue;
-            Poll p = c->poll();
-            if (p.next > c->end_time()) {  // sound without the bound: see Poll::done
-              active_comp = c;
-              c->finish();
-              --unfinished;
-              continue;
-            }
-            if (p.next < best_p.next) {
-              second_t = best_p.next;
-              best_p = p;
-              best = c;
-            } else if (p.next < second_t) {
-              second_t = p.next;
-            }
-          }
-          if (unfinished == 0) break;
-          if (best == nullptr) continue;  // finishing pass removed candidates
-          // A peer that finished later in the scan may have unbounded best
-          // with its FIN: re-poll before calling it blocked.
-          if (best_p.next > best_p.bound) best_p = best->poll();
-          if (best_p.next > best_p.bound) {
-            // The earliest component is blocked; with sync_interval <= latency
-            // this cannot happen (its peer would have an earlier sync action).
-            throw deadlock_error(*best, best_p, "coscheduled: no runnable component");
-          }
-          active_comp = best;
-          std::uint64_t b0 = rdcycles();
-          for (Poll p = best_p;;) {
-            best->advance(p);
-            p = best->poll();
-            if (p.next > second_t || p.next > best->end_time() || p.next > p.bound) break;
-          }
-          best->add_busy_cycles((rdcycles() - b0) + drain_virtual_cycles());
-        }
-      } catch (...) {
-        throw to_simulation_error(std::current_exception(),
-                                  active_comp != nullptr ? active_comp->name() : "",
-                                  active_comp != nullptr ? active_comp->now() : 0);
-      }
+      run_coscheduled(active, end);
     }
   } catch (...) {
     run_error = std::current_exception();
@@ -434,6 +444,108 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
   return rs;
 }
 
+void Simulation::run_coscheduled(const std::vector<Component*>& active, SimTime end) {
+  // Always advance the component with the earliest next action, the top of
+  // a min-heap keyed on Poll::next (see DESIGN.md, "Coscheduled runner").
+  // Conservative synchronization makes any safe order equivalent; picking
+  // the minimum guarantees liveness. To amortize selection, the chosen
+  // component keeps advancing until it passes the second-earliest key or
+  // blocks. Only two things can move a key: the component running, and
+  // data landing in its receive rings. So after each run segment the
+  // runner re-keys the component that ran and every peer whose channel end
+  // shows new data sends.
+  std::vector<Component*> slots;
+  for (Component* c : active) {
+    if (!c->finished()) slots.push_back(c);
+  }
+  const std::size_t n = slots.size();
+
+  // links[first[s] .. first[s + 1]) are the channel ends slot s sends on
+  // whose receiving end belongs to a slot, each with the data-send count
+  // last seen.
+  struct Link {
+    const sync::ChannelEnd* end;
+    std::uint32_t peer;
+    std::uint64_t seen;
+  };
+  std::unordered_map<const sync::ChannelEnd*, std::uint32_t> owner;
+  for (std::uint32_t s = 0; s < n; ++s) {
+    for (auto& a : slots[s]->adapters()) owner[&a->end()] = s;
+  }
+  std::vector<Link> links;
+  std::vector<std::size_t> first(n + 1);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    first[s] = links.size();
+    for (auto& a : slots[s]->adapters()) {
+      sync::Channel& ch = a->end().channel();
+      const sync::ChannelEnd* other = &ch.end_a() == &a->end() ? &ch.end_b() : &ch.end_a();
+      auto it = owner.find(other);
+      if (it != owner.end()) links.push_back({&a->end(), it->second, a->end().data_sends()});
+    }
+  }
+  first[n] = links.size();
+
+  std::uint64_t mark = rdcycles();
+  std::vector<Poll> polls(n);
+  for (std::uint32_t s = 0; s < n; ++s) polls[s] = slots[s]->poll();
+  sched_polls_ += n;
+  SlotHeap heap(polls);
+
+  Component* running = nullptr;  // attribution for escaping model errors
+  try {
+    while (!heap.empty()) {
+      const std::uint32_t s = heap.top();
+      Component* c = slots[s];
+      Poll p = polls[s];
+      // Every key is past the end: no component runs again, so no message
+      // can still be sent, and finishing everyone is safe.
+      if (p.next > end) break;
+      if (p.next > p.bound) {
+        // The stored poll's bound may be stale (bounds only grow).
+        p = c->poll();
+        ++sched_polls_;
+        if (p.next > p.bound) {
+          // With sync_interval <= latency this cannot happen: the peer the
+          // top waits on would have an earlier sync action.
+          throw deadlock_error(*c, p, "coscheduled: no runnable component");
+        }
+      }
+      const SimTime second = heap.second_key();
+      running = c;
+      std::uint64_t b0 = rdcycles();
+      sched_cycles_ += b0 - mark;
+      for (;;) {
+        c->advance(p);
+        p = c->poll();
+        ++sched_polls_;
+        if (p.next > second || p.next > end || p.next > p.bound) break;
+      }
+      mark = rdcycles();
+      c->add_busy_cycles(mark - b0);
+      polls[s] = p;
+      heap.update(s);
+      for (std::size_t k = first[s]; k < first[s + 1]; ++k) {
+        Link& l = links[k];
+        const std::uint64_t sent = l.end->data_sends();
+        if (sent == l.seen) continue;
+        l.seen = sent;
+        polls[l.peer] = slots[l.peer]->poll();
+        ++sched_polls_;
+        heap.update(l.peer);
+      }
+    }
+    sched_cycles_ += rdcycles() - mark;
+    for (Component* c : slots) {
+      running = c;
+      c->finish();
+    }
+  } catch (...) {
+    throw to_simulation_error(std::current_exception(),
+                              running != nullptr ? running->name() : "",
+                              running != nullptr ? running->now() : 0);
+  }
+}
+
 RunStats Simulation::collect_stats(RunMode mode, SimTime end, std::uint64_t wall_cycles,
                                    double wall_seconds) {
   RunStats rs;
@@ -442,6 +554,8 @@ RunStats Simulation::collect_stats(RunMode mode, SimTime end, std::uint64_t wall
   rs.wall_cycles = wall_cycles;
   rs.wall_seconds = wall_seconds;
   rs.pooled_workers = pooled_workers_;
+  rs.sched_polls = sched_polls_;
+  rs.sched_cycles = sched_cycles_;
   rs.components.reserve(components_.size());
   for (auto& c : components_) {
     // Inactive components (process mode) never ran; folding their empty
@@ -451,6 +565,7 @@ RunStats Simulation::collect_stats(RunMode mode, SimTime end, std::uint64_t wall
     ComponentStats cs;
     cs.name = c->name();
     cs.busy_cycles = c->busy_cycles();
+    cs.virtual_cycles = c->virtual_cycles();
     cs.wall_cycles = c->wall_cycles() != 0 ? c->wall_cycles() : wall_cycles;
     cs.drain_cycles = c->drain_cycles();
     cs.batches = c->batches();

@@ -51,6 +51,9 @@ struct AdapterStats {
 struct ComponentStats {
   std::string name;
   std::uint64_t busy_cycles = 0;
+  /// The modeled host work inside busy_cycles (Component::virtual_cycles):
+  /// deterministic, unlike the measured rest.
+  std::uint64_t virtual_cycles = 0;
   std::uint64_t wall_cycles = 0;
   /// Threaded mode: post-finish drain time, kept out of wall_cycles so
   /// busy/wall utilization is not deflated for early finishers.
@@ -82,6 +85,12 @@ struct RunStats {
   /// quanta, busy/park cycles, steals, migrations — the load-imbalance view
   /// the adaptive rebalancer works from, also emitted into summary.json.
   std::vector<PooledWorkerStats> pooled_workers;
+  /// Coscheduled runner overhead (0 in other modes). sched_polls counts
+  /// its Component::poll() calls and is deterministic; sched_cycles is
+  /// measured around heap selection and re-keying, so runtime overhead is
+  /// read directly rather than as wall minus the components' busy time.
+  std::uint64_t sched_polls = 0;
+  std::uint64_t sched_cycles = 0;
 
   /// Failure attribution for partial stats (attached to the thrown
   /// SimulationError so a long run's profile survives the failure).
@@ -188,6 +197,7 @@ class Simulation {
  private:
   RunStats collect_stats(RunMode mode, SimTime end, std::uint64_t wall_cycles,
                          double wall_seconds);
+  void run_coscheduled(const std::vector<Component*>& active, SimTime end);
   void resolve_peers();
 
   std::vector<std::unique_ptr<Component>> components_;
@@ -207,6 +217,8 @@ class Simulation {
   PooledController* pooled_controller_ = nullptr;
   std::uint64_t pooled_epoch_ms_ = 10;
   std::vector<PooledWorkerStats> pooled_workers_;  ///< filled by pooled runs
+  std::uint64_t sched_polls_ = 0;   ///< filled by coscheduled runs
+  std::uint64_t sched_cycles_ = 0;  ///< filled by coscheduled runs
 };
 
 }  // namespace splitsim::runtime

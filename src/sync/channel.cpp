@@ -124,7 +124,7 @@ std::uint64_t ChannelEnd::send(Message msg) {
   if (msg.is_sync() || msg.is_fin()) {
     if (sent_anything_ && msg.timestamp < last_sent_) msg.timestamp = last_sent_;
   } else {
-    if (sent_data_ && msg.timestamp <= last_data_sent_) {
+    if (data_sends_ != 0 && msg.timestamp <= last_data_sent_) {
       msg.timestamp = last_data_sent_ + 1;
     }
     // Promise discipline (nulls are emitted only while every pending local
@@ -136,7 +136,7 @@ std::uint64_t ChannelEnd::send(Message msg) {
                                                std::to_string(last_sent_) + " ps");
     }
     last_data_sent_ = msg.timestamp;
-    sent_data_ = true;
+    ++data_sends_;
     if (ckpt_window_enabled_) {
       ckpt_window_.push_back({msg.timestamp, hash_event(ckpt_channel_hash_, msg)});
     }

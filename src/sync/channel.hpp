@@ -116,6 +116,11 @@ class ChannelEnd {
 
   bool has_sent() const { return sent_anything_; }
 
+  /// Data messages sent so far (SYNC/FIN excluded). Only data lowers the
+  /// peer's next action, so a runner that sees this unchanged knows the
+  /// peer's scheduling state did not move (runtime/runner.cpp).
+  std::uint64_t data_sends() const { return data_sends_; }
+
   // ---- checkpointing --------------------------------------------------
   /// Enable the sender-side in-flight window: every data send is recorded
   /// as (wire timestamp, event hash) so inflight_at() can summarize the
@@ -227,12 +232,12 @@ class ChannelEnd {
   std::atomic<std::size_t>* rx_spill_count_ = nullptr;
   SimTime last_sent_ = 0;       ///< wire timestamp: data + sync + fin
   SimTime last_data_sent_ = 0;  ///< data only; drives the monotonicity bump
+  std::uint64_t data_sends_ = 0;  ///< see data_sends()
   SimTime last_recv_ = 0;
   SimTime latency_ = 0;  ///< channel latency (immutable after construction)
   SimTime horizon_ = 0;  ///< see horizon(); maintained by note_recv
   std::atomic<bool> fin_received_{false};  ///< see fin_received()
   bool sent_anything_ = false;
-  bool sent_data_ = false;
   bool peeked_from_spill_ = false;
   // Checkpoint in-flight window (enable_ckpt_window): data sends not yet
   // past a queried boundary, kept in wire-timestamp order by the send

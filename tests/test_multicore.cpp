@@ -6,6 +6,7 @@
 using namespace splitsim;
 using namespace splitsim::hostsim;
 using runtime::RunMode;
+using runtime::RunStats;
 using runtime::Simulation;
 
 namespace {
@@ -122,15 +123,21 @@ TEST(MulticoreTest, DecompositionReducesProjectedSimTime) {
   const int kCores = 8;
   const SimTime kDur = from_us(300.0);
 
+  // Project from the modeled cost of the detailed cores (virtual cycles)
+  // and the deterministic message counts only. The measured rest of the
+  // busy time is host noise that moved this ratio across the bound.
+  auto modeled_report = [](RunStats stats) {
+    for (auto& c : stats.components) c.busy_cycles = c.virtual_cycles;
+    return profiler::build_report(stats);
+  };
+
   Simulation seq_sim;
   build_sequential_multicore(seq_sim, config(kCores));
-  auto seq_stats = seq_sim.run(kDur, RunMode::kCoscheduled);
-  auto seq_rep = profiler::build_report(seq_stats);
+  auto seq_rep = modeled_report(seq_sim.run(kDur, RunMode::kCoscheduled));
 
   Simulation par_sim;
   build_parallel_multicore(par_sim, config(kCores));
-  auto par_stats = par_sim.run(kDur, RunMode::kCoscheduled);
-  auto par_rep = profiler::build_report(par_stats);
+  auto par_rep = modeled_report(par_sim.run(kDur, RunMode::kCoscheduled));
 
   profiler::PerfModelConfig pm;  // 48-core machine
   double t_seq = profiler::project_wall_seconds(seq_rep, pm);
