@@ -148,8 +148,9 @@ inline splitsim::orch::FaultSpec parse_faults(const Args& args) {
 // ---- shared observability flags ------------------------------------------
 //
 // Every scenario bench also shares the obs surface:
-//   --out-dir=DIR     artifact directory (sslog, dot, trace/metrics JSON);
-//                     defaults to ProfileSpec's "splitsim-out"
+//   --out-dir=DIR     artifact directory (the run record summary.json, dot,
+//                     trace/metrics JSON); defaults to ProfileSpec's
+//                     "splitsim-out", where only requested obs artifacts land
 //   --trace[=PATH]    record a Chrome trace (openable in Perfetto)
 //   --metrics[=MS]    periodic metrics snapshots (default period 250 ms)
 //   --progress[=MS]   live progress lines on stderr (default period 1000 ms)

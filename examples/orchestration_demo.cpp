@@ -151,7 +151,7 @@ int main() {
     inst.fidelity_overrides["server"] = HostFidelity::kQemu;
     inst.exec.partition = "rs";
     inst.exec.run_mode = runtime::RunMode::kThreaded;
-    inst.profile.enabled = true;
+    inst.profile.sample_period_cycles = 50'000'000;
     runtime::Simulation sim;
     auto done = instantiate_system(sim, sys, inst);
     auto stats = run_instantiated(sim, inst, from_ms(10.0));

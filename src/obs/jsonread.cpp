@@ -1,6 +1,7 @@
 #include "obs/jsonread.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace splitsim::obs {
@@ -21,6 +22,16 @@ double JsonValue::num(const std::string& key, double fallback) const {
 std::string JsonValue::str(const std::string& key, const std::string& fallback) const {
   const JsonValue* v = find(key);
   return v != nullptr && v->kind == Kind::kString ? v->string : fallback;
+}
+
+bool JsonValue::to_u64(std::uint64_t& out) const {
+  if (kind != Kind::kNumber || string.empty()) return false;
+  for (char c : string) {
+    if (c < '0' || c > '9') return false;
+  }
+  errno = 0;
+  out = std::strtoull(string.c_str(), nullptr, 10);
+  return errno == 0;
 }
 
 namespace {
@@ -185,6 +196,7 @@ struct Parser {
       out.kind = JsonValue::Kind::kNumber;
       out.number = std::strtod(start, &end);
       if (end == start) return fail("bad number");
+      out.string.assign(start, static_cast<std::size_t>(end - start));
       i += static_cast<std::size_t>(end - start);
       return true;
     }

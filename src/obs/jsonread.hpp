@@ -20,7 +20,7 @@ struct JsonValue {
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
-  std::string string;
+  std::string string;  ///< string value; for numbers, the source text
   std::vector<JsonValue> array;
   /// Insertion-ordered object members (Chrome trace readers care about
   /// nothing here, but stable order keeps merges diffable).
@@ -37,6 +37,11 @@ struct JsonValue {
   /// Convenience accessors with defaults for absent/mistyped members.
   double num(const std::string& key, double fallback = 0.0) const;
   std::string str(const std::string& key, const std::string& fallback = {}) const;
+
+  /// This number as an exact unsigned integer, parsed from its source text
+  /// so values above 2^53 survive. False for anything that is not a
+  /// non-negative integer in uint64 range.
+  bool to_u64(std::uint64_t& out) const;
 };
 
 /// Parse `text` into `out`. Returns false (with a position-annotated message

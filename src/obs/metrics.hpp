@@ -14,7 +14,7 @@
 //
 // Snapshots are cheap (one mutex for the name table, relaxed loads for the
 // values) and are serialized periodically into a metrics JSON next to the
-// profiler's `.sslog` files.
+// run record (summary.json).
 #pragma once
 
 #include <array>

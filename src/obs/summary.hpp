@@ -1,13 +1,16 @@
-// Machine-readable end-of-run summary: one JSON object unifying the raw
-// RunStats, the post-processed profiler::ProfileReport, the final metrics
-// snapshot, and (when tracing ran) the trace recorder stats. This is the
-// artifact scripts should consume instead of scraping stdout tables.
+// The run record: summary.json, one JSON object unifying the raw RunStats,
+// the post-processed profiler::ProfileReport, the final metrics snapshot,
+// and (when tracing ran) the trace recorder stats. It is the one serialized
+// form of RunStats: scripts consume it instead of scraping stdout tables,
+// and read_run_stats parses it back (the multi-process parent merges its
+// children's records this way).
 //
 // Sits at the top of the obs headers' dependency stack: unlike trace/
 // metrics/progress (which runtime includes), this header includes runtime
 // and profiler, so only the orchestration layer and benches should use it.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,20 +22,15 @@
 namespace splitsim::obs {
 
 /// Per-process row of a multi-process run's merged summary, built by the
-/// run_multiprocess parent from the children's k=v reports.
+/// run_multiprocess parent from each child's proc-<rank>/summary.json.
 struct ProcessSummary {
   std::string name;     ///< process-group name
   std::string outcome;  ///< "completed" / "error" / "missing"
-  std::string digest;   ///< per-process digest, "0x%016x"
+  std::uint64_t digest = 0;  ///< per-process EventDigest::value()
   double wall_seconds = 0.0;
   double sim_speed = 0.0;  ///< sim seconds per wall second
-  std::uint64_t trunk_rx_msgs = 0;
-  std::uint64_t wire_tx_frames = 0;
-  std::uint64_t wire_tx_bytes = 0;
-  std::uint64_t wire_tx_syncs = 0;
-  std::uint64_t wire_tx_datas = 0;
-  std::uint64_t futex_parks = 0;
-  std::uint64_t futex_wakes = 0;
+  std::uint64_t trunk_rx_msgs = 0;  ///< data messages received over wire transports
+  sync::WireStats wire;             ///< summed over the process's wire transports
 };
 
 /// Checkpoint/restart record for the summary (filled by the orchestration
@@ -68,5 +66,14 @@ std::string summary_json(const SummaryInputs& in);
 
 /// Write summary_json() to `path`, creating parent directories.
 void write_summary_json(const std::string& path, const SummaryInputs& in);
+
+/// Parse the `run` object of a summary.json back into RunStats: every
+/// field the multi-process parent and profiler::build_report read, with
+/// integers (simulated ps, cycles, counters, digest folds) exact. Never
+/// throws. A missing file gives nullopt. An unreadable one (truncated
+/// JSON, a non-hex digest, an unknown error kind, no `run` object) gives
+/// an error record: outcome kError, kind kTransport, and a cause that
+/// starts with "corrupt-report" and names `path`.
+std::optional<runtime::RunStats> read_run_stats(const std::string& path);
 
 }  // namespace splitsim::obs

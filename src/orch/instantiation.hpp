@@ -67,15 +67,18 @@ struct ExecSpec {
 };
 
 /// Profiler + observability knobs (paper §3.3 sampling plus the obs layer:
-/// tracing, metrics, progress). Every artifact a run produces — `.sslog`
-/// files, `wtpg*.dot`, trace/metrics/summary JSON — lands under
+/// tracing, metrics, progress). Every artifact a run produces — the run
+/// record summary.json, `wtpg*.dot`, trace/metrics JSON — lands under
 /// artifact_dir(), never the current directory.
 struct ProfileSpec {
-  bool enabled = false;
-  std::uint64_t sample_period_cycles = 50'000'000;
-  /// When non-empty, run_instantiated writes one `<component>.sslog` per
-  /// simulator into this directory after the run (profiler/logfile.hpp),
-  /// and it becomes artifact_dir() for every other generated file.
+  /// Profiler sampling period in cycles: every component snapshots its
+  /// adapter counters this often (threaded runs), and the samples land in
+  /// summary.json. 0 = sampling off.
+  std::uint64_t sample_period_cycles = 0;
+  /// When non-empty, every run writes its run record (summary.json,
+  /// obs/summary.hpp) into this directory, and it becomes artifact_dir()
+  /// for every other generated file. With the default (empty) spec a run
+  /// writes no file.
   std::string log_dir;
   /// Cost model for projected-speed reporting (profiler::project_*).
   profiler::PerfModelConfig perf_model;
@@ -207,8 +210,8 @@ Instantiated instantiate_system(runtime::Simulation& sim, const System& sys,
                                 const Instantiation& inst);
 
 /// Run an instantiated simulation under the execution choices in `inst`
-/// (exec.run_mode + exec.pool_workers). Writes profiler logs to
-/// profile.log_dir when profiling is enabled. Thin wrapper over
+/// (exec.run_mode + exec.pool_workers). Writes the run's artifacts as
+/// run_profiled does. Thin wrapper over
 /// Simulation::run so callers that go through the orchestration layer pick
 /// up the knobs automatically.
 runtime::RunStats run_instantiated(runtime::Simulation& sim, const Instantiation& inst,
@@ -216,8 +219,8 @@ runtime::RunStats run_instantiated(runtime::Simulation& sim, const Instantiation
 
 /// Run `sim` under `exec` with the observability/profiling behavior of
 /// `profile`: configures Simulation::set_obs from the ProfileSpec, applies
-/// `faults` when given, runs, and writes every requested artifact (sslog,
-/// trace.json, metrics.json, summary.json) into profile.artifact_dir().
+/// `faults` when given, runs, and writes every requested artifact
+/// (trace.json, metrics.json, summary.json) into profile.artifact_dir().
 /// This is the single run entry point shared by run_instantiated and the
 /// hand-assembled benches.
 ///
@@ -240,12 +243,13 @@ runtime::RunStats run_profiled(runtime::Simulation& sim, const ProfileSpec& prof
                                const AdaptiveSpec* adaptive = nullptr,
                                const CkptSpec* ckpt = nullptr);
 
-/// Write every artifact requested by `profile` (sslog, trace.json,
-/// metrics.json, summary.json) into profile.artifact_dir() from `stats`.
-/// Shared by run_profiled's success and salvage paths and by the
-/// process-mode children, which each write their own per-process set.
-/// `ckpt`, when given, is recorded in summary.json (and forces the summary
-/// on even without other obs).
+/// Write every artifact requested by `profile` (trace.json, metrics.json,
+/// summary.json) into profile.artifact_dir() from `stats`. summary.json,
+/// the run record, is written whenever profile.log_dir is set, obs is on
+/// or `ckpt` is given. Shared by run_profiled's success and salvage paths
+/// and by the multi-process children, each of which writes its own record
+/// under proc-<rank>/ for the parent to read back (obs::read_run_stats).
+/// `ckpt`, when given, is recorded in summary.json.
 void write_run_artifacts(runtime::Simulation& sim, const ProfileSpec& profile,
                          const runtime::RunStats& stats,
                          const obs::CkptSummary* ckpt = nullptr);

@@ -3,16 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 
 #include <signal.h>
@@ -227,168 +225,31 @@ void swap_transports_local(runtime::Simulation& sim, const ProcessPlan& plan,
 
 namespace {
 
-/// Trunk-level wire stats one child observed on its cross channels, folded
-/// into its k=v report for the parent's merged summary (the fleet section
-/// of the distributed-observability story).
-struct ChildWire {
-  std::string group;
-  std::uint64_t trunk_rx_msgs = 0;  ///< data messages delivered to this side
-  std::uint64_t wire_tx_frames = 0;
-  std::uint64_t wire_tx_bytes = 0;
-  std::uint64_t wire_tx_syncs = 0;
-  std::uint64_t wire_tx_datas = 0;
-  std::uint64_t futex_parks = 0;
-  std::uint64_t futex_wakes = 0;
+/// A child's run record, written by run_child and read by the parent.
+std::string record_path(const std::string& dir, std::size_t rank) {
+  return dir + "/proc-" + std::to_string(rank) + "/summary.json";
+}
+
+/// Debug hook for the peer-death tests: SPLITSIM_DEBUG_KILL="<rank>:<sim_us>"
+/// makes process-group `rank` die (hard _exit, no FIN) on the thread of its
+/// first component once that component's simulated time passes <sim_us>:
+/// a crashed peer at the same point of every run, without instrumenting
+/// model code. It rides on the checkpoint boundary hook, so it is not
+/// armed while checkpointing owns that hook.
+struct DebugKill : runtime::CkptHook {
+  void on_boundary(runtime::Component&, SimTime) override { _exit(42); }
 };
 
-ChildWire collect_wire(runtime::Simulation& sim, const ProcessPlan& plan, int rank,
-                       const std::vector<runtime::CrossChannel>& cross) {
-  ChildWire w;
-  w.group = plan.groups[static_cast<std::size_t>(rank)].name;
-  EndOwners owners = map_ends(sim);
-  for (const runtime::CrossChannel& cc : cross) {
-    sync::Channel& ch = *cc.channel;
-    if (sync::WireCounters* wc = ch.transport().wire_counters()) {
-      w.wire_tx_frames += wc->tx_frames.load(std::memory_order_relaxed);
-      w.wire_tx_bytes += wc->tx_bytes.load(std::memory_order_relaxed);
-      w.wire_tx_syncs += wc->tx_syncs.load(std::memory_order_relaxed);
-      w.wire_tx_datas += wc->tx_datas.load(std::memory_order_relaxed);
-      w.futex_parks += wc->futex_parks.load(std::memory_order_relaxed);
-      w.futex_wakes += wc->futex_wakes.load(std::memory_order_relaxed);
-    }
-    const sync::ChannelEnd* e = cc.local_side == 0 ? &ch.end_a() : &ch.end_b();
-    auto it = owners.adapter.find(e);
-    if (it != owners.adapter.end()) w.trunk_rx_msgs += it->second->counters().rx_msgs;
-  }
-  return w;
-}
-
-/// Build a child's report from its run result, error and wire stats.
-ChildReport make_report(const runtime::RunStats& rs, const runtime::SimulationError* err,
-                        const ChildWire* wire) {
-  ChildReport r;
-  r.valid = true;
-  r.outcome = to_string(rs.outcome);
-  r.digest = rs.digest;
-  r.wall_seconds = rs.wall_seconds;
-  r.sim_time = rs.sim_time;
-  if (wire != nullptr) {
-    r.trunk_rx_msgs = wire->trunk_rx_msgs;
-    r.wire_tx_frames = wire->wire_tx_frames;
-    r.wire_tx_bytes = wire->wire_tx_bytes;
-    r.wire_tx_syncs = wire->wire_tx_syncs;
-    r.wire_tx_datas = wire->wire_tx_datas;
-    r.futex_parks = wire->futex_parks;
-    r.futex_wakes = wire->futex_wakes;
-  }
-  if (err != nullptr) {
-    r.error_kind = err->kind();
-    r.error_sim_time = err->sim_time();
-    r.error_component = err->component();
-    r.error = err->cause();
-  }
-  return r;
-}
-
-}  // namespace
-
-ChildReport read_report(const std::string& path) {
-  ChildReport r;
-  std::ifstream in(path);
-  if (!in) return r;
-  r.valid = true;
-  std::string line;
-  std::size_t lineno = 0;
-  // A child killed mid-write leaves a truncated or garbled report; stoull /
-  // stoi throw on such values. That is a child failure for the parent to
-  // attribute, not a reason to crash the merge — collapse any parse failure
-  // into the "corrupt-report" sentinel outcome.
-  try {
-    while (std::getline(in, line)) {
-      ++lineno;
-      auto eq = line.find('=');
-      if (eq == std::string::npos) continue;
-      std::string k = line.substr(0, eq), v = line.substr(eq + 1);
-      if (k == "outcome") r.outcome = v;
-      else if (k == "digest_xor") r.digest.fold_xor = std::stoull(v, nullptr, 16);
-      else if (k == "digest_sum") r.digest.fold_sum = std::stoull(v, nullptr, 16);
-      else if (k == "digest_count") r.digest.count = std::stoull(v);
-      else if (k == "wall_seconds") r.wall_seconds = std::stod(v);
-      else if (k == "sim_time") r.sim_time = std::stoull(v);
-      else if (k == "trunk_rx_msgs") r.trunk_rx_msgs = std::stoull(v);
-      else if (k == "wire_tx_frames") r.wire_tx_frames = std::stoull(v);
-      else if (k == "wire_tx_bytes") r.wire_tx_bytes = std::stoull(v);
-      else if (k == "wire_tx_syncs") r.wire_tx_syncs = std::stoull(v);
-      else if (k == "wire_tx_datas") r.wire_tx_datas = std::stoull(v);
-      else if (k == "futex_parks") r.futex_parks = std::stoull(v);
-      else if (k == "futex_wakes") r.futex_wakes = std::stoull(v);
-      else if (k == "error_kind") {
-        int n = std::stoi(v);
-        if (n < 0 || n > static_cast<int>(runtime::ErrorKind::kSyncViolation)) {
-          throw std::out_of_range("error_kind " + v + " is not a known ErrorKind");
-        }
-        r.error_kind = static_cast<runtime::ErrorKind>(n);
-      } else if (k == "error_sim_time") r.error_sim_time = std::stoull(v);
-      else if (k == "error_component") r.error_component = v;
-      else if (k == "error") r.error = v;
-    }
-  } catch (const std::exception& e) {
-    ChildReport bad;
-    bad.valid = true;
-    bad.outcome = "corrupt-report";
-    bad.error_kind = runtime::ErrorKind::kTransport;
-    bad.error = "unparsable report '" + path + "' (line " + std::to_string(lineno) +
-                "): " + e.what();
-    return bad;
-  }
-  return r;
-}
-
-void write_report(const std::string& path, const ChildReport& r) {
-  std::ofstream out(path, std::ios::trunc);
-  out << "outcome=" << r.outcome << "\n";
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(r.digest.fold_xor));
-  out << "digest_xor=" << hex << "\n";
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(r.digest.fold_sum));
-  out << "digest_sum=" << hex << "\n";
-  out << "digest_count=" << r.digest.count << "\n";
-  out << "wall_seconds=" << r.wall_seconds << "\n";
-  out << "sim_time=" << r.sim_time << "\n";
-  out << "trunk_rx_msgs=" << r.trunk_rx_msgs << "\n";
-  out << "wire_tx_frames=" << r.wire_tx_frames << "\n";
-  out << "wire_tx_bytes=" << r.wire_tx_bytes << "\n";
-  out << "wire_tx_syncs=" << r.wire_tx_syncs << "\n";
-  out << "wire_tx_datas=" << r.wire_tx_datas << "\n";
-  out << "futex_parks=" << r.futex_parks << "\n";
-  out << "futex_wakes=" << r.futex_wakes << "\n";
-  if (!r.error.empty() || !r.error_component.empty()) {
-    std::string cause = r.error;
-    std::replace(cause.begin(), cause.end(), '\n', ' ');
-    out << "error_kind=" << static_cast<int>(r.error_kind) << "\n";
-    out << "error_sim_time=" << r.error_sim_time << "\n";
-    out << "error_component=" << r.error_component << "\n";
-    out << "error=" << cause << "\n";
-  }
-}
-
-namespace {
-
-/// Debug hook for the peer-death tests: SPLITSIM_DEBUG_KILL="<rank>:<ms>"
-/// makes process-group `rank` die (hard _exit, no FIN) after `ms` of wall
-/// time — simulating a crashed peer without instrumenting model code.
-void arm_debug_kill(int rank) {
+void arm_debug_kill(runtime::Simulation& sim, const ProcessGroup& group, int rank) {
   const char* spec = std::getenv("SPLITSIM_DEBUG_KILL");
   if (spec == nullptr) return;
   int kill_rank = -1;
-  long ms = 0;
-  if (std::sscanf(spec, "%d:%ld", &kill_rank, &ms) != 2 || kill_rank != rank) return;
-  std::thread([ms] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    _exit(42);
-  }).detach();
+  double sim_us = 0.0;
+  if (std::sscanf(spec, "%d:%lf", &kill_rank, &sim_us) != 2 || kill_rank != rank) return;
+  static DebugKill kill;
+  for (const auto& c : sim.components()) {
+    if (c->name() == group.components.front()) c->set_ckpt_hook(&kill, from_us(sim_us));
+  }
 }
 
 [[noreturn]] void run_child(runtime::Simulation& sim, const ProfileSpec& profile,
@@ -398,16 +259,15 @@ void arm_debug_kill(int rank) {
                             const std::vector<std::uint16_t>& ports, int control_fd,
                             std::uint64_t trace_epoch, const CkptSpec* ckpt,
                             const ckpt::Snapshot* resume) {
-  const std::string dir = profile.artifact_dir();
-  const std::string report_path = dir + "/proc-" + std::to_string(rank) + ".stats";
+  // Per-process artifact routing: everything this child writes lands
+  // under <artifact_dir>/proc-<rank>/, including its run record
+  // summary.json, which the parent reads back on every exit path.
+  ProfileSpec child_profile = profile;
+  child_profile.log_dir = profile.artifact_dir() + "/proc-" + std::to_string(rank);
+  child_profile.trace_out.clear();
+  child_profile.metrics_out.clear();
+  runtime::RunStats rs;
   try {
-    // Per-process artifact routing: everything this child writes lands
-    // under <artifact_dir>/proc-<rank>/.
-    ProfileSpec child_profile = profile;
-    child_profile.log_dir = dir + "/proc-" + std::to_string(rank);
-    child_profile.trace_out.clear();
-    child_profile.metrics_out.clear();
-
     // Process-qualified trace shard: distinct pid + process_name metadata,
     // cycle clock re-based on the parent's pre-fork epoch so every shard
     // shares one time origin and the merged trace lines up exactly.
@@ -500,8 +360,8 @@ void arm_debug_kill(int rank) {
       cross.push_back({&ch, side[i]});
     }
 
-    sim.set_active_components(plan.groups[static_cast<std::size_t>(rank)].components);
-    arm_debug_kill(rank);
+    const ProcessGroup& group = plan.groups[static_cast<std::size_t>(rank)];
+    sim.set_active_components(group.components);
 
     // Per-rank checkpoint shards: this child snapshots only its own active
     // components; ckpt::load_resume (and the parent's post-run verify)
@@ -520,40 +380,26 @@ void arm_debug_kill(int rank) {
       co.resume_path = ckpt->resume_from;
     }
     ckpt::ScopedCollector collector(sim, co);
+    if (collector.get() == nullptr) arm_debug_kill(sim, group, rank);
 
-    std::vector<runtime::CrossChannel> local_cross = cross;
     runtime::ProcessRunner runner(sim, std::move(cross));
-    try {
-      runtime::RunStats rs = runner.run(end);
-      ChildWire wire = collect_wire(sim, plan, rank, local_cross);
-      write_run_artifacts(sim, child_profile, rs);
-      write_report(report_path, make_report(rs, nullptr, &wire));
-      _exit(0);
-    } catch (const runtime::SimulationError& e) {
-      // Teardown-ordering satellite: the surviving process still writes its
-      // per-process artifacts from the salvaged partial stats.
-      ChildWire wire = collect_wire(sim, plan, rank, local_cross);
-      if (e.stats() != nullptr) {
-        write_run_artifacts(sim, child_profile, *e.stats());
-        write_report(report_path, make_report(*e.stats(), &e, &wire));
-      } else {
-        runtime::RunStats empty;
-        empty.outcome = runtime::RunOutcome::kError;
-        write_report(report_path, make_report(empty, &e, &wire));
-      }
-      _exit(1);
-    }
+    rs = runner.run(end);
+  } catch (const runtime::SimulationError& e) {
+    // A failed child still writes its artifacts, from the salvaged
+    // partial stats when the run got that far.
+    if (e.stats() != nullptr) rs = *e.stats();
+    rs.record_error(e);
   } catch (const std::exception& e) {
-    ChildReport r;
-    r.valid = true;
-    r.outcome = "error";
-    r.error_kind = runtime::ErrorKind::kTransport;
-    r.error = e.what();
-    write_report(report_path, r);
-    _exit(1);
+    rs.record_error(runtime::SimulationError(runtime::ErrorKind::kTransport, "", 0, e.what()));
   } catch (...) {
     _exit(1);
   }
+  try {
+    write_run_artifacts(sim, child_profile, rs);
+  } catch (...) {
+    _exit(1);
+  }
+  _exit(rs.outcome == runtime::RunOutcome::kCompleted ? 0 : 1);
 }
 
 }  // namespace
@@ -594,7 +440,7 @@ obs::CkptSummary parent_ckpt_summary(const CkptSpec& spec, const ckpt::Snapshot*
 }
 
 void write_parent_artifacts(const ProfileSpec& profile, const runtime::RunStats& merged,
-                            const std::vector<ChildReport>& reports,
+                            const std::vector<std::optional<runtime::RunStats>>& records,
                             const ProcessPlan& plan,
                             const std::vector<obs::MetricsSnapshot>& fleet_series,
                             SimTime end, const obs::CkptSummary* ckpt_summary) {
@@ -631,24 +477,25 @@ void write_parent_artifacts(const ProfileSpec& profile, const runtime::RunStats&
   in.report = &report;
   if (!fleet_series.empty()) in.fleet = &fleet_series.back();
   std::vector<obs::ProcessSummary> procs;
-  procs.reserve(reports.size());
-  for (const ChildReport& r : reports) {
+  procs.reserve(records.size());
+  for (const std::optional<runtime::RunStats>& r : records) {
     obs::ProcessSummary ps;
     ps.name = plan.groups[procs.size()].name;
-    ps.outcome = r.valid ? r.outcome : "missing";
-    char dig[32];
-    std::snprintf(dig, sizeof(dig), "0x%016llx",
-                  static_cast<unsigned long long>(r.digest.value()));
-    ps.digest = dig;
-    ps.wall_seconds = r.wall_seconds;
-    ps.sim_speed = r.wall_seconds > 0.0 ? to_sec(end) / r.wall_seconds : 0.0;
-    ps.trunk_rx_msgs = r.trunk_rx_msgs;
-    ps.wire_tx_frames = r.wire_tx_frames;
-    ps.wire_tx_bytes = r.wire_tx_bytes;
-    ps.wire_tx_syncs = r.wire_tx_syncs;
-    ps.wire_tx_datas = r.wire_tx_datas;
-    ps.futex_parks = r.futex_parks;
-    ps.futex_wakes = r.futex_wakes;
+    ps.outcome = r ? runtime::to_string(r->outcome) : "missing";
+    if (r) {
+      ps.digest = r->digest.value();
+      ps.wall_seconds = r->wall_seconds;
+      ps.sim_speed = r->wall_seconds > 0.0 ? to_sec(end) / r->wall_seconds : 0.0;
+      // The process's cross channels are exactly its adapters over wire
+      // transports (shm, socket); in-process channels carry none.
+      for (const runtime::ComponentStats& c : r->components) {
+        for (const runtime::AdapterStats& a : c.adapters) {
+          if (!a.wire) continue;
+          ps.trunk_rx_msgs += a.totals.rx_msgs;
+          ps.wire += *a.wire;
+        }
+      }
+    }
     procs.push_back(std::move(ps));
   }
   in.processes = &procs;
@@ -663,63 +510,8 @@ void write_parent_artifacts(const ProfileSpec& profile, const runtime::RunStats&
 }  // namespace
 
 runtime::RunStats run_multiprocess(runtime::Simulation& sim, const ProfileSpec& profile,
-                                   const ExecSpec& exec, SimTime end, const CkptSpec* ckpt,
-                                   const ckpt::Snapshot* resume) {
-  ProcessPlan plan = plan_processes(sim, exec);
-  if (plan.groups.size() < 2) {
-    // Nothing to split across processes; run in-process threaded, but keep
-    // the artifact contract: this path still writes the profile's files.
-    // Checkpointing degenerates to the single-process form (whole
-    // snapshots, inline resume verification), which load_resume handles
-    // uniformly — elastic resume across process counts includes 1.
-    ckpt::CollectorOptions co;
-    if (ckpt != nullptr) {
-      co.every = ckpt->every;
-      co.end = end;
-      co.dir = ckpt->dir;
-      co.keep_last = ckpt->keep_last;
-      co.config_fp = ckpt->config_fp;
-      co.resume = resume;
-      co.resume_path = ckpt->resume_from;
-    }
-    ckpt::ScopedCollector collector(sim, co);
-    obs::CkptSummary cks;
-    auto fill_cks = [&] {
-      if (ckpt == nullptr) return;
-      cks.enabled = true;
-      cks.dir = ckpt->dir;
-      if (const ckpt::Collector* c = collector.get()) {
-        cks.snapshots_written = c->snapshots_written();
-        cks.last_boundary_ms = to_ms(c->last_boundary());
-        if (resume != nullptr) cks.resume_verified = c->resume_verified();
-      }
-      if (resume != nullptr) {
-        cks.resumed = true;
-        cks.resume_boundary_ms = to_ms(resume->boundary);
-      }
-    };
-    auto write_single = [&](const runtime::RunStats& rs) {
-      write_run_artifacts(sim, profile, rs, ckpt != nullptr ? &cks : nullptr);
-      if (!profile.any_obs() && ckpt == nullptr) {
-        profiler::ProfileReport report = profiler::build_report(rs);
-        obs::SummaryInputs in;
-        in.stats = &rs;
-        in.report = &report;
-        obs::write_summary_json(profile.artifact_dir() + "/summary.json", in);
-      }
-    };
-    try {
-      runtime::RunStats rs = sim.run(end, runtime::RunMode::kThreaded);
-      if (collector.get() != nullptr) collector.get()->require_resume_verified();
-      fill_cks();
-      write_single(rs);
-      return rs;
-    } catch (const runtime::SimulationError& e) {
-      fill_cks();
-      if (e.stats() != nullptr) write_single(*e.stats());
-      throw;
-    }
-  }
+                                   const ExecSpec& exec, const ProcessPlan& plan, SimTime end,
+                                   const CkptSpec* ckpt, const ckpt::Snapshot* resume) {
   const std::string transport = exec.transport == "socket" ? "socket" : "shm";
   const std::string run_id = "p" + std::to_string(::getpid());
   const std::string dir = profile.artifact_dir();
@@ -774,6 +566,9 @@ runtime::RunStats run_multiprocess(runtime::Simulation& sim, const ProfileSpec& 
   std::vector<pid_t> pids;
   pids.reserve(plan.groups.size());
   for (std::size_t rank = 0; rank < plan.groups.size(); ++rank) {
+    // A record left by an earlier run in this directory must not stand in
+    // for a child that dies before writing its own.
+    std::filesystem::remove(record_path(dir, rank), ec);
     pid_t pid = ::fork();
     if (pid < 0) {
       for (pid_t p : pids) ::kill(p, SIGKILL);
@@ -859,30 +654,40 @@ runtime::RunStats run_multiprocess(runtime::Simulation& sim, const ProfileSpec& 
   aggregator.stop();
   std::vector<obs::MetricsSnapshot> fleet_series = aggregator.take_series();
 
+  // Merge the children's run records: the digest folds, the slowest wall
+  // time, and every component, so the merged profile and WTPG cover the
+  // whole run.
   runtime::RunStats merged;
   merged.mode = runtime::RunMode::kThreaded;
   merged.sim_time = end;
-  std::vector<ChildReport> reports(pids.size());
+  std::vector<std::optional<runtime::RunStats>> records(pids.size());
   int failed_rank = -1;
   for (std::size_t i = 0; i < pids.size(); ++i) {
-    reports[i] = read_report(dir + "/proc-" + std::to_string(i) + ".stats");
-    merged.digest.merge(reports[i].digest);
-    merged.wall_seconds = std::max(merged.wall_seconds, reports[i].wall_seconds);
-    bool ok = reports[i].valid && reports[i].outcome == "completed" &&
-              WIFEXITED(status[i]) && WEXITSTATUS(status[i]) == 0;
+    records[i] = obs::read_run_stats(record_path(dir, i));
+    bool ok = WIFEXITED(status[i]) && WEXITSTATUS(status[i]) == 0;
+    if (const std::optional<runtime::RunStats>& r = records[i]) {
+      merged.digest.merge(r->digest);
+      merged.wall_seconds = std::max(merged.wall_seconds, r->wall_seconds);
+      merged.wall_cycles = std::max(merged.wall_cycles, r->wall_cycles);
+      merged.components.insert(merged.components.end(), r->components.begin(),
+                               r->components.end());
+      ok = ok && r->outcome == runtime::RunOutcome::kCompleted;
+    } else {
+      ok = false;
+    }
     if (!ok && failed_rank < 0) failed_rank = static_cast<int>(i);
   }
 
   obs::CkptSummary cks;
   const obs::CkptSummary* cksp = nullptr;
   if (failed_rank >= 0) {
-    const ChildReport& r = reports[static_cast<std::size_t>(failed_rank)];
+    const std::optional<runtime::RunStats>& r = records[static_cast<std::size_t>(failed_rank)];
     const std::string where = "process group '" + plan.groups[failed_rank].name +
                               "' (rank " + std::to_string(failed_rank) + ")";
     runtime::SimulationError err = [&] {
-      if (r.valid && !r.error.empty()) {
-        return runtime::SimulationError(r.error_kind, r.error_component, r.error_sim_time,
-                                        where + ": " + r.error);
+      if (r && r->outcome == runtime::RunOutcome::kError) {
+        return runtime::SimulationError(r->error_kind, r->error_component, r->error_sim_time,
+                                        where + ": " + r->error_cause);
       }
       std::ostringstream os;
       os << where << " ";
@@ -896,15 +701,12 @@ runtime::RunStats run_multiprocess(runtime::Simulation& sim, const ProfileSpec& 
       os << " without reporting results";
       return runtime::SimulationError(runtime::ErrorKind::kTransport, "", 0, os.str());
     }();
-    merged.outcome = runtime::RunOutcome::kError;
-    merged.error = err.what();
-    merged.error_component = err.component();
-    merged.error_sim_time = err.sim_time();
+    merged.record_error(err);
     if (ckpt != nullptr) {
       cks = parent_ckpt_summary(*ckpt, resume, false);
       cksp = &cks;
     }
-    write_parent_artifacts(profile, merged, reports, plan, fleet_series, end, cksp);
+    write_parent_artifacts(profile, merged, records, plan, fleet_series, end, cksp);
     err.attach_stats(std::make_shared<const runtime::RunStats>(merged));
     throw err;
   }
@@ -930,13 +732,10 @@ runtime::RunStats run_multiprocess(runtime::Simulation& sim, const ProfileSpec& 
       ckpt::verify_resume(ckpt::merge_shards(shards), *resume, ckpt->resume_from);
       resume_verified = true;
     } catch (runtime::SimulationError err) {
-      merged.outcome = runtime::RunOutcome::kError;
-      merged.error = err.what();
-      merged.error_component = err.component();
-      merged.error_sim_time = err.sim_time();
+      merged.record_error(err);
       cks = parent_ckpt_summary(*ckpt, resume, false);
       cksp = &cks;
-      write_parent_artifacts(profile, merged, reports, plan, fleet_series, end, cksp);
+      write_parent_artifacts(profile, merged, records, plan, fleet_series, end, cksp);
       err.attach_stats(std::make_shared<const runtime::RunStats>(merged));
       throw err;
     }
@@ -945,7 +744,7 @@ runtime::RunStats run_multiprocess(runtime::Simulation& sim, const ProfileSpec& 
     cks = parent_ckpt_summary(*ckpt, resume, resume_verified);
     cksp = &cks;
   }
-  write_parent_artifacts(profile, merged, reports, plan, fleet_series, end, cksp);
+  write_parent_artifacts(profile, merged, records, plan, fleet_series, end, cksp);
   return merged;
 }
 

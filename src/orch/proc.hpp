@@ -18,10 +18,12 @@
 //     and children) holds the identically-constructed full simulation —
 //     determinism by construction — and each child executes only its group
 //     (Simulation::set_active_components) with the cut channels rewired to
-//     shm or socket transports. Children write per-process artifacts plus a
-//     small k=v stats file; the parent reaps them, merges the per-process
-//     EventDigests (the fold is commutative, so the merge reproduces the
-//     single-process digest bit-identically) and writes one merged summary.
+//     shm or socket transports. Each child writes its per-process artifacts,
+//     always including its run record proc-<rank>/summary.json; the parent
+//     reaps them, reads the records back (obs::read_run_stats), merges the
+//     per-process EventDigests (the fold is commutative, so the merge
+//     reproduces the single-process digest bit-identically) and components,
+//     and writes one merged summary.
 #pragma once
 
 #include <cstdint>
@@ -77,44 +79,16 @@ ProcessPlan plan_processes(runtime::Simulation& sim, const ExecSpec& exec);
 void swap_transports_local(runtime::Simulation& sim, const ProcessPlan& plan,
                            const std::string& transport, const std::string& run_id);
 
-/// One child's end-of-run report, written as a small k=v `.stats` file and
-/// read back by the parent for digest merging and failure attribution.
-/// Exposed (with read_report/write_report) as the per-child report
-/// contract so tests can exercise the parsing tolerance directly.
-struct ChildReport {
-  bool valid = false;
-  std::string outcome;  ///< "completed" / "error" / "corrupt-report"
-  sync::EventDigest digest;
-  double wall_seconds = 0.0;
-  SimTime sim_time = 0;
-  std::string error;
-  std::string error_component;
-  SimTime error_sim_time = 0;
-  runtime::ErrorKind error_kind = runtime::ErrorKind::kModelError;
-  std::uint64_t trunk_rx_msgs = 0;
-  std::uint64_t wire_tx_frames = 0;
-  std::uint64_t wire_tx_bytes = 0;
-  std::uint64_t wire_tx_syncs = 0;
-  std::uint64_t wire_tx_datas = 0;
-  std::uint64_t futex_parks = 0;
-  std::uint64_t futex_wakes = 0;
-};
-
-/// Parse a child's `.stats` report. Never throws: a missing file yields
-/// valid == false, and a truncated or garbled file (a child killed
-/// mid-write) yields a valid report with outcome "corrupt-report" and a
-/// diagnostic in `error` — the parent attributes it as a child failure
-/// instead of crashing the merge.
-ChildReport read_report(const std::string& path);
-void write_report(const std::string& path, const ChildReport& r);
-
-/// Fork-per-group multi-process run (exec.transport selects shm or socket
-/// trunks for the cut channels). Returns the merged RunStats: per-process
-/// digests folded into one whole-run digest, wall time = slowest child.
-/// On any child failure (including peer-process death) throws a
-/// SimulationError rebuilt from the failing child's report, with the merged
-/// partial stats attached — surviving children still write their artifacts
-/// first. Must be called before any threads exist in this process.
+/// Fork-per-group multi-process run of `plan` (plan_processes(sim, exec);
+/// exec.transport selects shm or socket trunks for the cut channels;
+/// run_profiled runs a one-group plan in-process instead). Returns the
+/// merged RunStats: per-process
+/// digests folded into one whole-run digest, every child's components,
+/// wall time = slowest child. On any child failure (including peer-process
+/// death) throws a SimulationError rebuilt from the failing child's run
+/// record, with the merged partial stats attached — surviving children
+/// still write their artifacts first. Must be called before any threads
+/// exist in this process.
 ///
 /// `ckpt`, when given (every != 0), makes each child write per-rank shard
 /// files into ckpt->dir (plus a parent manifest recording the rank count);
@@ -124,7 +98,7 @@ void write_report(const std::string& path, const ChildReport& r);
 /// (kCheckpoint on divergence) — the multi-process form of the replay
 /// verification the single-process collector does inline.
 runtime::RunStats run_multiprocess(runtime::Simulation& sim, const ProfileSpec& profile,
-                                   const ExecSpec& exec, SimTime end,
+                                   const ExecSpec& exec, const ProcessPlan& plan, SimTime end,
                                    const CkptSpec* ckpt = nullptr,
                                    const ckpt::Snapshot* resume = nullptr);
 

@@ -25,6 +25,15 @@ std::string to_string(RunMode mode) {
   return "?";
 }
 
+void RunStats::record_error(const SimulationError& e) {
+  outcome = RunOutcome::kError;
+  error = e.what();
+  error_kind = e.kind();
+  error_cause = e.cause();
+  error_component = e.component();
+  error_sim_time = e.sim_time();
+}
+
 std::string to_string(RunOutcome o) {
   switch (o) {
     case RunOutcome::kCompleted:
@@ -131,7 +140,6 @@ sync::Channel& Simulation::add_channel(std::string name, sync::ChannelConfig cfg
 }
 
 void Simulation::enable_profiling(std::uint64_t sample_period_cycles) {
-  profiling_ = true;
   sample_period_ = sample_period_cycles;
 }
 
@@ -344,9 +352,9 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
   std::exception_ptr run_error;
   try {
     for (Component* c : active) {
-      if (profiling_) c->enable_sampling(sample_period_);
+      if (sample_period_ != 0) c->enable_sampling(sample_period_);
       c->prepare(end);
-      if (profiling_) c->record_sample_now();
+      if (sample_period_ != 0) c->record_sample_now();
     }
 
     if (mode == RunMode::kThreaded) {
@@ -434,10 +442,7 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
     // as a SimulationError with the partial stats of the aborted run
     // attached, so hours of profile data survive the failure.
     SimulationError out = to_simulation_error(run_error);
-    rs.outcome = RunOutcome::kError;
-    rs.error = out.what();
-    rs.error_component = out.component();
-    rs.error_sim_time = out.sim_time();
+    rs.record_error(out);
     out.attach_stats(std::make_shared<const RunStats>(rs));
     throw out;
   }
@@ -580,7 +585,9 @@ RunStats Simulation::collect_stats(RunMode mode, SimTime end, std::uint64_t wall
       as.peer_component = a->peer_component();
       as.totals = a->counters();
       as.totals.backpressure_stalls = a->end().tx_backpressure_stalls();
-      as.channel_latency = a->config().latency;
+      if (const sync::WireCounters* w = a->end().channel().transport().wire_counters()) {
+        as.wire = w->snapshot();
+      }
       cs.adapters.push_back(std::move(as));
     }
     rs.components.push_back(std::move(cs));

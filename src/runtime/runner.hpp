@@ -12,6 +12,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,7 +45,9 @@ struct AdapterStats {
   std::string component;
   std::string peer_component;
   sync::ProfCounters totals;
-  SimTime channel_latency = 0;
+  /// Wire counters of the channel's transport, when it has them (shm and
+  /// socket transports; in-process channels have none).
+  std::optional<sync::WireStats> wire;
 };
 
 /// Per-component result snapshot.
@@ -96,8 +99,13 @@ struct RunStats {
   /// SimulationError so a long run's profile survives the failure).
   RunOutcome outcome = RunOutcome::kCompleted;
   std::string error;            ///< SimulationError::what(), "" if completed
+  ErrorKind error_kind = ErrorKind::kModelError;
+  std::string error_cause;      ///< SimulationError::cause(), without the prefix
   std::string error_component;  ///< failing component ("" if none/unknown)
   SimTime error_sim_time = 0;   ///< failing component's sim time
+
+  /// Mark the run failed with `e`'s attribution (every error field above).
+  void record_error(const SimulationError& e);
 
   double sim_seconds() const { return to_sec(sim_time); }
   /// Simulation speed: simulated seconds per wall-clock second.
@@ -142,7 +150,8 @@ class Simulation {
   /// with partial stats attached.
   void fail_run(std::exception_ptr e);
 
-  /// Enable periodic profiler sampling on every component (threaded runs).
+  /// Enable periodic profiler sampling on every component (threaded runs);
+  /// a period of 0 turns it off.
   void enable_profiling(std::uint64_t sample_period_cycles = 50'000'000);
 
   /// Threaded-mode hang watchdog window in wall milliseconds (0 disables).
@@ -206,8 +215,7 @@ class Simulation {
   std::mutex fail_mu_;                     ///< guards live_shared_/pending_failure_
   ThreadedShared* live_shared_ = nullptr;  ///< set while a threaded run executes
   std::exception_ptr pending_failure_;     ///< fail_run() before the run started
-  bool profiling_ = false;
-  std::uint64_t sample_period_ = 0;
+  std::uint64_t sample_period_ = 0;  ///< profiler sampling period; 0 = off
   std::uint64_t watchdog_ms_ = 500;
   obs::ObsConfig obs_;
   obs::Registry metrics_;

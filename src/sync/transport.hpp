@@ -32,10 +32,32 @@
 
 namespace splitsim::sync {
 
+/// Plain snapshot of a transport's WireCounters, carried per adapter in
+/// runtime::AdapterStats and the run record (summary.json).
+struct WireStats {
+  std::uint64_t tx_frames = 0;
+  std::uint64_t tx_bytes = 0;
+  std::uint64_t tx_syncs = 0;
+  std::uint64_t tx_datas = 0;
+  std::uint64_t futex_parks = 0;
+  std::uint64_t futex_wakes = 0;
+
+  WireStats& operator+=(const WireStats& o) {
+    tx_frames += o.tx_frames;
+    tx_bytes += o.tx_bytes;
+    tx_syncs += o.tx_syncs;
+    tx_datas += o.tx_datas;
+    futex_parks += o.futex_parks;
+    futex_wakes += o.futex_wakes;
+    return *this;
+  }
+};
+
 /// Wire-level counters of one cross-process transport, bumped by the LOCAL
 /// sides only (each process reports its own tx; futex counts come from the
 /// rings this process parks/wakes on). Exposed to the metrics registry as
-/// `trunk.<channel>.*` gauges and to child reports for fleet aggregation.
+/// `trunk.<channel>.*` gauges and, snapshotted per adapter, to the run
+/// record the multi-process parent aggregates.
 /// `frame_overhead` / `fixed_frame_bytes` let ChannelEnd::send account
 /// bytes-on-the-wire without a virtual call per message: bytes = fixed
 /// (shm: one ring slot) or overhead + payload (socket: len prefix + header).
@@ -54,6 +76,12 @@ struct WireCounters {
   std::atomic<std::int64_t> clock_skew_cycles{0};
   std::uint32_t frame_overhead = 0;
   std::uint32_t fixed_frame_bytes = 0;
+
+  WireStats snapshot() const {
+    constexpr auto r = std::memory_order_relaxed;
+    return {tx_frames.load(r),   tx_bytes.load(r),    tx_syncs.load(r),
+            tx_datas.load(r),    futex_parks.load(r), futex_wakes.load(r)};
+  }
 };
 
 /// Failure in the transport machinery itself: handshake/version mismatch,

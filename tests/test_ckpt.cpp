@@ -2,8 +2,7 @@
 // corruption rejection, checkpointed-run digest parity against the
 // uninterrupted reference, elastic resume under different run modes /
 // worker counts / partitions, fault-then-resume, divergence detection,
-// plus the hardened child-report parsing and crN partition-name
-// validation that ride along in the same PR.
+// plus crN partition-name validation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -362,96 +361,6 @@ TEST(CkptRun, IncompatibleResumeIsRejectedBeforeRunning) {
     cfg.ckpt.every = from_ms(5.0);
     cfg.ckpt.resume_from = kv_baseline().ckpt_dir;
     expect_ckpt_error([&] { kv::run_kv_scenario(cfg); }, "does not hit");
-  }
-}
-
-// ------------------------------------------- child report parsing (S3) ----
-
-TEST(ChildReport, RoundTripPreservesEveryField) {
-  const std::string path = scratch_dir("report") + "/r0.stats";
-  orch::ChildReport w;
-  w.valid = true;
-  w.outcome = "error";
-  w.digest.fold_xor = 0xdeadbeefcafe0123ull;
-  w.digest.fold_sum = 0x1122334455667788ull;
-  w.digest.count = 424242;
-  w.wall_seconds = 1.5;
-  w.sim_time = from_ms(8.0);
-  w.error = "boom with spaces";
-  w.error_component = "server1";
-  w.error_sim_time = from_ms(5.0);
-  w.error_kind = ErrorKind::kTransport;
-  w.trunk_rx_msgs = 11;
-  w.wire_tx_frames = 22;
-  w.wire_tx_bytes = 33;
-  w.wire_tx_syncs = 44;
-  w.wire_tx_datas = 55;
-  w.futex_parks = 66;
-  w.futex_wakes = 77;
-  orch::write_report(path, w);
-
-  orch::ChildReport g = orch::read_report(path);
-  EXPECT_TRUE(g.valid);
-  EXPECT_EQ(g.outcome, "error");
-  EXPECT_TRUE(g.digest == w.digest);
-  EXPECT_DOUBLE_EQ(g.wall_seconds, 1.5);
-  EXPECT_EQ(g.sim_time, from_ms(8.0));
-  EXPECT_EQ(g.error, "boom with spaces");
-  EXPECT_EQ(g.error_component, "server1");
-  EXPECT_EQ(g.error_sim_time, from_ms(5.0));
-  EXPECT_EQ(g.error_kind, ErrorKind::kTransport);
-  EXPECT_EQ(g.trunk_rx_msgs, 11u);
-  EXPECT_EQ(g.wire_tx_frames, 22u);
-  EXPECT_EQ(g.wire_tx_bytes, 33u);
-  EXPECT_EQ(g.wire_tx_syncs, 44u);
-  EXPECT_EQ(g.wire_tx_datas, 55u);
-  EXPECT_EQ(g.futex_parks, 66u);
-  EXPECT_EQ(g.futex_wakes, 77u);
-
-  // The last ErrorKind passes the parser's range check.
-  w.error_kind = ErrorKind::kSyncViolation;
-  orch::write_report(path, w);
-  g = orch::read_report(path);
-  EXPECT_EQ(g.outcome, "error");
-  EXPECT_EQ(g.error_kind, ErrorKind::kSyncViolation);
-}
-
-TEST(ChildReport, MissingFileIsInvalidNotFatal) {
-  orch::ChildReport r = orch::read_report(scratch_dir("report") + "/never-written.stats");
-  EXPECT_FALSE(r.valid);
-}
-
-TEST(ChildReport, GarbledFilesBecomeAttributedChildFailures) {
-  const std::string dir = scratch_dir("report");
-
-  auto write = [&](const std::string& name, const std::string& body) {
-    std::string p = dir + "/" + name;
-    std::ofstream(p) << body;
-    return p;
-  };
-
-  // A child killed mid-write: non-numeric digest.
-  {
-    std::string p = write("garbled.stats", "outcome=completed\ndigest_xor=zzzz\n");
-    orch::ChildReport r;
-    ASSERT_NO_THROW(r = orch::read_report(p));
-    EXPECT_TRUE(r.valid);
-    EXPECT_EQ(r.outcome, "corrupt-report");
-    EXPECT_EQ(r.error_kind, ErrorKind::kTransport);
-    EXPECT_NE(r.error.find(p), std::string::npos) << r.error;
-  }
-  // error_kind outside the enum range must not be cast blindly.
-  {
-    std::string p = write("badkind.stats", "outcome=error\nerror_kind=99\n");
-    orch::ChildReport r = orch::read_report(p);
-    EXPECT_EQ(r.outcome, "corrupt-report");
-    EXPECT_EQ(r.error_kind, ErrorKind::kTransport);
-  }
-  // A truncated numeric value.
-  {
-    std::string p = write("trunc.stats", "outcome=completed\nwall_seconds=");
-    orch::ChildReport r = orch::read_report(p);
-    EXPECT_EQ(r.outcome, "corrupt-report");
   }
 }
 

@@ -13,13 +13,16 @@
 //     leaves ONE merged Perfetto trace with at least one cross-process flow
 //     arrow whose count matches the trunks' delivered-message count, plus
 //     one merged summary with per-process, fleet, and critical-path
-//     sections.
+//     sections; an untraced run's merged run record lists every component
+//     of the in-process run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,6 +34,8 @@
 #include "obs/control.hpp"
 #include "obs/jsonread.hpp"
 #include "obs/merge.hpp"
+#include "obs/summary.hpp"
+#include "profiler/wtpg.hpp"
 
 using namespace splitsim;
 
@@ -335,4 +340,118 @@ TEST(DistributedObsTest, ShmRunMergesTraceAndFleetMetrics) {
 
 TEST(DistributedObsTest, SocketRunMergesTraceAndFleetMetrics) {
   check_traced_multiprocess("socket");
+}
+
+// ---------------------------------------------------------------------------
+// End to end: the merged run record of a multi-process run
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Component name -> its (adapter, peer) pairs.
+using Layout = std::map<std::string, std::set<std::pair<std::string, std::string>>>;
+
+Layout layout_of(const runtime::RunStats& st) {
+  Layout out;
+  for (const runtime::ComponentStats& c : st.components) {
+    auto& pairs = out[c.name];
+    for (const runtime::AdapterStats& a : c.adapters) pairs.emplace(a.adapter, a.peer_component);
+  }
+  return out;
+}
+
+/// Node ids and (from, to) edges of a DOT graph.
+struct Graph {
+  std::set<std::string> nodes;
+  std::set<std::pair<std::string, std::string>> edges;
+};
+
+Graph wtpg_of(const runtime::RunStats& st) {
+  Graph g;
+  std::istringstream dot(profiler::build_wtpg(profiler::build_report(st)).to_dot());
+  for (std::string line; std::getline(dot, line);) {
+    if (line.rfind("  \"", 0) != 0) continue;
+    const std::string head = line.substr(2, line.find(" [") - 2);
+    const auto arrow = head.find(" -> ");
+    if (arrow == std::string::npos) {
+      g.nodes.insert(head);
+    } else {
+      g.edges.emplace(head.substr(0, arrow), head.substr(arrow + 4));
+    }
+  }
+  return g;
+}
+
+}  // namespace
+
+TEST(DistributedObsTest, ShmRunRecordListsEveryComponent) {
+  // The parent merges its children's run records (proc-<rank>/summary.json),
+  // so the merged record, the profile and the WTPG cover every component
+  // of the run, exactly as the in-process threaded run lists them.
+  const std::string out = "test-obsmerge-out/record";
+  std::error_code ec;
+  std::filesystem::remove_all(out, ec);
+
+  kv::ScenarioConfig cfg = mcheck::kv_small_config();
+  cfg.exec.run_mode = runtime::RunMode::kThreaded;
+  cfg.profile.log_dir = out + "/inproc";
+  const runtime::EventDigest ref = kv::run_kv_scenario(cfg).digest;
+  cfg.exec.transport = "shm";
+  cfg.exec.processes = true;
+  cfg.profile.log_dir = out + "/shm";
+  EXPECT_EQ(kv::run_kv_scenario(cfg).digest, ref);
+
+  std::optional<runtime::RunStats> single = obs::read_run_stats(out + "/inproc/summary.json");
+  std::optional<runtime::RunStats> merged = obs::read_run_stats(out + "/shm/summary.json");
+  ASSERT_TRUE(single.has_value());
+  ASSERT_TRUE(merged.has_value());
+  EXPECT_EQ(merged->outcome, runtime::RunOutcome::kCompleted) << merged->error;
+  EXPECT_TRUE(single->digest == ref);
+  EXPECT_TRUE(merged->digest == ref);
+
+  const Layout want = layout_of(*single);
+  ASSERT_GE(want.size(), 3u);
+  EXPECT_EQ(layout_of(*merged), want);
+
+  const Graph g_single = wtpg_of(*single);
+  const Graph g_merged = wtpg_of(*merged);
+  EXPECT_EQ(g_merged.nodes, g_single.nodes);
+  EXPECT_EQ(g_merged.edges, g_single.edges);
+  EXPECT_EQ(g_merged.nodes.size(), want.size());
+
+  // The summary's profile section covers every component too.
+  obs::JsonValue summary = parse_file(out + "/shm/summary.json");
+  const obs::JsonValue* profile = summary.find("profile");
+  ASSERT_NE(profile, nullptr);
+  std::set<std::string> profiled;
+  for (const obs::JsonValue& c : profile->find("components")->array) {
+    profiled.insert(c.str("name"));
+  }
+  std::set<std::string> names;
+  for (const auto& [name, pairs] : want) names.insert(name);
+  EXPECT_EQ(profiled, names);
+
+  // Per-process wire counters come from the children's adapters.
+  const obs::JsonValue* procs = summary.find("processes");
+  ASSERT_NE(procs, nullptr);
+  ASSERT_GE(procs->array.size(), 2u);
+  std::uint64_t delivered = 0;
+  for (const obs::JsonValue& p : procs->array) {
+    EXPECT_EQ(p.str("outcome"), "completed");
+    delivered += static_cast<std::uint64_t>(p.num("trunk_rx_msgs"));
+    EXPECT_GT(p.num("wire_tx_frames"), 0.0);
+    EXPECT_GT(p.num("wire_tx_bytes"), 0.0);
+  }
+  EXPECT_GT(delivered, 0u);
+
+  // All groups on one rank: a one-process plan runs in-process and still
+  // writes the same record.
+  for (const obs::JsonValue& p : procs->array) cfg.exec.process_of[p.str("name")] = 0;
+  cfg.profile.log_dir = out + "/one";
+  EXPECT_EQ(kv::run_kv_scenario(cfg).digest, ref);
+  std::optional<runtime::RunStats> one = obs::read_run_stats(out + "/one/summary.json");
+  ASSERT_TRUE(one.has_value());
+  EXPECT_TRUE(one->digest == ref);
+  EXPECT_EQ(layout_of(*one), want);
+  EXPECT_FALSE(std::filesystem::exists(out + "/one/proc-0"));
 }

@@ -433,13 +433,14 @@ TEST(TransportParityTest, ClockSyncPartitionedSwapMatchesInproc) {
 // ---------------------------------------------------------------------------
 
 TEST(TransportFailureTest, PeerDeathAttributedAndArtifactsSalvaged) {
-  // Kill rank 1 mid-run (the debug hook children arm from the
-  // environment). The survivors must detect the death via the transport,
+  // Kill rank 1 at 4 ms of its 8 ms simulated run (the debug hook children
+  // arm from the environment), so the kill lands mid-run on any host
+  // speed. The survivors must detect the death via the transport,
   // the parent must rethrow it as SimulationError{kTransport} with merged
   // partial stats attached, and the merged summary must still land on disk
   // (the teardown-ordering satellite).
   const std::string out = "test-transport-out/peer-death";
-  ::setenv("SPLITSIM_DEBUG_KILL", "1:100", 1);
+  ::setenv("SPLITSIM_DEBUG_KILL", "1:4000", 1);
   struct EnvGuard {
     ~EnvGuard() { ::unsetenv("SPLITSIM_DEBUG_KILL"); }
   } guard;

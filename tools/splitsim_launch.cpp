@@ -5,23 +5,29 @@
 //   splitsim_launch --scenario kv-small --processes --transport shm \
 //       --out-dir /tmp/run --verify-digest
 //
-// Exit codes: 0 success, 1 run/usage failure, 2 digest mismatch.
+// Exit codes: 0 success, 1 run/usage failure, 2 digest or component
+// mismatch.
 //
 // The launcher is the CI `proc-smoke` entry point: it executes the same
 // scenario once in-process (threaded, heap rings) and once under the
 // requested deployment (forked process groups over shm segments or
 // localhost socket trunks, or a single-process transport swap), then
-// requires the EventDigests to be bit-identical. --expect-peer-death flips
-// the contract: a child is killed mid-run (SPLITSIM_DEBUG_KILL) and the
-// launcher asserts the failure surfaces as a typed transport error while
-// the surviving process still writes its artifacts.
+// requires the EventDigests to be bit-identical and the two run records
+// (summary.json) to list exactly the same components. --expect-peer-death
+// flips the contract: a child is killed at a given simulated time
+// (SPLITSIM_DEBUG_KILL) and the launcher asserts the failure surfaces as a
+// typed transport error while the surviving process still writes its
+// artifacts.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "mcheck/scenarios.hpp"
+#include "obs/summary.hpp"
 #include "runtime/error.hpp"
 #include "sync/digest.hpp"
 
@@ -36,7 +42,7 @@ struct Options {
   bool processes = false;
   bool verify_digest = false;
   bool expect_peer_death = false;
-  std::string kill_after;        // "<rank>:<ms>" for SPLITSIM_DEBUG_KILL
+  std::string kill_after;        // "<rank>:<sim_us>" for SPLITSIM_DEBUG_KILL
   std::string out_dir = "splitsim-launch-out";
   double duration_ms = 0.0;      // 0 = scenario default
   bool trace = false;            // record per-process shards, merge in parent
@@ -57,7 +63,7 @@ struct Options {
       "  [--trace] [--metrics MS] [--progress MS]\n"
       "  [--checkpoint-every MS] [--checkpoint-dir DIR] [--resume-from PATH]\n"
       "  [--inject-throw COMP:MS]\n"
-      "  [--expect-peer-death --kill-after RANK:MS]\n"
+      "  [--expect-peer-death --kill-after RANK:US]\n"
       "\n"
       "Checkpointing: --checkpoint-every writes boundary snapshots under\n"
       "--checkpoint-dir; --resume-from re-instantiates from the newest\n"
@@ -65,7 +71,9 @@ struct Options {
       "a different partition/transport/process count). With --verify-digest\n"
       "the resumed run's digest must match the uninterrupted reference.\n"
       "--inject-throw kills the first run with a deterministic model fault\n"
-      "at the given simulated time (a resume strips the killer fault).\n");
+      "at the given simulated time (a resume strips the killer fault).\n"
+      "--kill-after makes process rank RANK exit once its first component\n"
+      "reaches US microseconds of simulated time.\n");
   std::exit(code);
 }
 
@@ -137,6 +145,17 @@ RunOutcome run_scenario(const Options& opt, const orch::ExecSpec& exec,
   }
   std::fprintf(stderr, "splitsim_launch: unknown scenario '%s'\n", opt.scenario.c_str());
   std::exit(1);
+}
+
+/// Sorted component names of the run record a run left in `out_dir`
+/// (empty when it left none).
+std::vector<std::string> recorded_components(const std::string& out_dir) {
+  std::vector<std::string> names;
+  if (auto rs = obs::read_run_stats(out_dir + "/summary.json")) {
+    for (const auto& c : rs->components) names.push_back(c.name);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 void print_digest(const char* label, const sync::EventDigest& d) {
@@ -265,7 +284,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: digest mismatch between transports\n");
       return 2;
     }
-    std::printf("OK: digests bit-identical\n");
+    const std::vector<std::string> got = recorded_components(opt.out_dir);
+    const std::vector<std::string> want = recorded_components(opt.out_dir + "/reference");
+    if (want.empty() || got != want) {
+      std::fprintf(stderr,
+                   "FAIL: run record lists %zu components, the reference run's lists %zu "
+                   "(or their names differ)\n",
+                   got.size(), want.size());
+      return 2;
+    }
+    std::printf("OK: digests bit-identical, run records list the same %zu components\n",
+                want.size());
   }
   return 0;
 }
