@@ -1,7 +1,8 @@
 // Micro-benchmarks for the SplitSim channel substrate: raw ring throughput,
 // per-message send/peek/consume, the batched drain_until path, trunk
-// multiplexing, sync-message overhead, and payload marshalling. Emits
-// BENCH_channels.json (see --out).
+// multiplexing, sync-message overhead (queued, and coscheduled where a SYNC
+// moves the peer's horizon without a ring slot), and payload marshalling.
+// Emits BENCH_channels.json (see --out).
 //
 // Flags: --iters=N (messages per workload), --out=PATH, --full.
 #include <cstdint>
@@ -85,6 +86,24 @@ BenchResult bench_sync_message_cost(std::uint64_t iters) {
   return r;
 }
 
+// Coscheduled runs: the sender's periodic SYNC (due every op) and the
+// receiver's poll of its bound, the pair most coscheduled batches consist of.
+BenchResult bench_cosched_sync_poll(std::uint64_t iters) {
+  Channel ch("bench", {.latency = 500, .ring_capacity = 1024});
+  ch.set_mode(ChannelMode::kSpillSingleThread);
+  Adapter tx("tx", ch.end_a());
+  Adapter rx("rx", ch.end_b());
+  tx.send_sync(0);
+  SimTime t = 0;
+  std::uint64_t sink = 0;
+  BenchResult r = benchutil::run_bench("cosched_sync_send_poll", iters, [&] {
+    tx.maybe_sync(t += 500);
+    sink ^= rx.rx_peek().bound;
+  });
+  if (sink == 1) std::printf("unreachable\n");
+  return r;
+}
+
 BenchResult bench_trunk_demux(std::uint64_t iters) {
   Channel ch("bench", {.latency = 500, .ring_capacity = 1024});
   TrunkAdapter tx("tx", ch.end_a());
@@ -139,6 +158,7 @@ int main(int argc, char** argv) {
   results.push_back(bench_send_peek_consume(iters));
   results.push_back(bench_send_drain(iters, 64));
   results.push_back(bench_sync_message_cost(iters));
+  results.push_back(bench_cosched_sync_poll(iters));
   results.push_back(bench_trunk_demux(iters));
   results.push_back(bench_payload_round_trip(iters));
 

@@ -1,13 +1,14 @@
 // Micro-benchmarks for the DES kernel: scheduling throughput at various
-// queue depths, cancellation overhead, and the self-rescheduling timer
-// pattern. Every workload runs A/B against the reference binary-heap kernel
-// (des/reference_kernel.hpp) so the speedup of the two-tier calendar queue
-// is measured, not assumed. Emits BENCH_des.json (see --out).
+// queue depths, cancellation overhead, the self-rescheduling timer pattern,
+// and next_time() over a sparse calendar. Every workload runs A/B against
+// the reference binary-heap kernel (des/reference_kernel.hpp) so the
+// speedup of the two-tier calendar queue is measured, not assumed. Emits BENCH_des.json (see --out).
 //
 // Flags: --iters=N (ops per workload), --out=PATH, --full.
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common.hpp"
@@ -56,6 +57,25 @@ BenchResult bench_self_rescheduling(const std::string& name, std::uint64_t iters
   return benchutil::run_bench(name, iters, [&] { k.run_next(); });
 }
 
+// Sparse calendar: four pending events spread over the bucket window, the
+// pattern of a component with a few timers per lookahead. Each step finds
+// the head across ~50 empty buckets, runs it and re-arms it 100 ns later.
+template <typename K>
+BenchResult bench_sparse_next_time(const std::string& name, std::uint64_t iters) {
+  K k;
+  if constexpr (std::is_same_v<K, Kernel>) k.set_bucket_hint(50'000);  // 512 ps buckets
+  constexpr SimTime kGap = 25'000;
+  for (SimTime i = 1; i <= 4; ++i) k.schedule_at(i * kGap, [] {});
+  SimTime sink = 0;
+  BenchResult r = benchutil::run_bench(name, iters, [&] {
+    sink ^= k.next_time();
+    k.run_next();
+    k.schedule_in(4 * kGap, [] {});
+  });
+  if (sink == 1) std::printf("unreachable\n");
+  return r;
+}
+
 void add_ab(std::vector<BenchResult>& out, BenchResult opt, BenchResult ref) {
   opt.extra.emplace_back("reference_events_per_sec", ref.ops_per_sec);
   opt.extra.emplace_back("speedup_vs_reference",
@@ -84,6 +104,8 @@ int main(int argc, char** argv) {
          bench_schedule_cancel<ReferenceKernel>("reference_schedule_cancel", iters));
   add_ab(results, bench_self_rescheduling<Kernel>("self_rescheduling", iters),
          bench_self_rescheduling<ReferenceKernel>("reference_self_rescheduling", iters));
+  add_ab(results, bench_sparse_next_time<Kernel>("sparse_next_time", iters),
+         bench_sparse_next_time<ReferenceKernel>("reference_sparse_next_time", iters));
 
   benchutil::write_json(out, "events_per_sec", results);
   return 0;

@@ -1,6 +1,7 @@
 #include "des/kernel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace splitsim::des {
@@ -39,16 +40,12 @@ std::uint32_t Kernel::prepare_node(SimTime t) {
 void Kernel::enqueue_node(std::uint32_t ni, SimTime t) {
   // Empty queue: rebase the window on this event so sparse schedules
   // (periodic polls far apart) stay in the O(1) bucket tier.
-  if (live_ == 0 && heap_.empty()) {
-    base_ = (t >> shift_) << shift_;
-    cur_ = 0;
-  }
+  if (live_ == 0 && heap_.empty()) base_ = (t >> shift_) << shift_;
   ++live_;
   std::uint64_t delta = t >= base_ ? t - base_ : 0;
   std::uint64_t b = delta >> shift_;
   if (b < kBuckets) {
     bucket_insert(static_cast<std::size_t>(b), ni);
-    if (b < cur_) cur_ = static_cast<std::size_t>(b);
   } else {
     Node& n = node(ni);
     n.loc = Loc::kHeap;
@@ -87,6 +84,7 @@ void Kernel::bucket_insert(std::size_t b, std::uint32_t ni) const {
   } else {
     node(n.next).prev = ni;
   }
+  occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
 }
 
 void Kernel::bucket_unlink(std::size_t b, std::uint32_t ni) {
@@ -103,6 +101,7 @@ void Kernel::bucket_unlink(std::size_t b, std::uint32_t ni) {
     node(n.next).prev = n.prev;
   }
   n.prev = n.next = kNil;
+  if (bk.head == kNil) occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
 }
 
 void Kernel::heap_push(HeapEntry e) const {
@@ -133,7 +132,6 @@ bool Kernel::rotate_from_heap() const {
   }
   SimTime top_t = heap_.front().time;
   base_ = (top_t >> shift_) << shift_;
-  cur_ = 0;
   SimTime span = static_cast<SimTime>(kBuckets) << shift_;
   bool saturated = base_ > kSimTimeMax - span;
   SimTime wend = saturated ? kSimTimeMax : base_ + span;
@@ -210,22 +208,28 @@ SimTime Kernel::next_time() const {
     }
     return kSimTimeMax;
   }
+  std::size_t b = head_bucket();
+  return b < kBuckets ? node(buckets_[b].head).time : kSimTimeMax;
+}
+
+std::size_t Kernel::head_bucket() const {
   for (;;) {
-    while (cur_ < kBuckets && buckets_[cur_].head == kNil) ++cur_;
-    if (cur_ < kBuckets) return node(buckets_[cur_].head).time;
-    if (!rotate_from_heap()) return kSimTimeMax;
+    for (std::size_t w = 0; w < kOccupancyWords; ++w) {
+      if (occupied_[w] != 0) return w * 64 + std::countr_zero(occupied_[w]);
+    }
+    if (!rotate_from_heap()) return kBuckets;
   }
 }
 
 void Kernel::run_next() {
-  // live_ > 0 guarantees next_time() leaves cur_ at a non-empty bucket
-  // (rotating the window in from the heap if needed). This check, rather
-  // than comparing next_time() to kSimTimeMax, keeps an event scheduled at
+  // live_ > 0 guarantees head_bucket() finds a non-empty bucket (rotating
+  // the window in from the heap if needed). This check, rather than
+  // comparing next_time() to kSimTimeMax, keeps an event scheduled at
   // kSimTimeMax itself runnable, exactly like the reference kernel.
   if (live_ == 0) throw std::logic_error("Kernel::run_next: empty queue");
-  next_time();  // advance cur_ / rotate so the head bucket is current
-  std::uint32_t ni = buckets_[cur_].head;
-  bucket_unlink(cur_, ni);
+  const std::size_t b = head_bucket();
+  std::uint32_t ni = buckets_[b].head;
+  bucket_unlink(b, ni);
   Node& n = node(ni);
   n.loc = Loc::kExecuting;
   now_ = n.time;
@@ -260,7 +264,6 @@ void Kernel::set_bucket_hint(SimTime lookahead) {
   if (live_ == 0) {
     shift_ = shift;
     base_ = (now_ >> shift_) << shift_;
-    cur_ = 0;
     pending_shift_plus1_ = 0;
   } else {
     pending_shift_plus1_ = shift + 1;

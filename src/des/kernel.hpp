@@ -11,7 +11,9 @@
 //  * The queue is two-tier. A calendar of fixed-width buckets covers the
 //    near future — with the bucket width derived from the channel lookahead
 //    (set_bucket_hint), nearly all events of a synchronized component land
-//    here and enqueue/dequeue in O(1). Events beyond the calendar window go
+//    here and enqueue/dequeue in O(1). A 256-bit occupancy bitmap marks the
+//    non-empty buckets, so finding the head is a count-trailing-zeros over
+//    four words, however sparse the calendar. Events beyond the window go
 //    to a far-future min-heap and migrate into buckets in bulk when the
 //    window rotates forward, so each event pays the heap at most once.
 //  * Cancellation is O(1) and exact: an EventId encodes (slab index,
@@ -167,6 +169,7 @@ class Kernel {
   static constexpr std::size_t kChunkShift = 9;  // 512 nodes per slab chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
   static constexpr std::size_t kBuckets = 256;
+  static constexpr std::size_t kOccupancyWords = kBuckets / 64;
 
   enum class Loc : std::uint8_t { kFree, kBucket, kHeap, kExecuting };
 
@@ -200,6 +203,9 @@ class Kernel {
   void free_node(std::uint32_t ni);
   void bucket_insert(std::size_t b, std::uint32_t ni) const;
   void bucket_unlink(std::size_t b, std::uint32_t ni);
+  /// Index of the first non-empty bucket, rotating the window in from the
+  /// heap when the calendar is empty; kBuckets when nothing is pending.
+  std::size_t head_bucket() const;
   /// Calendar exhausted: rebase the window on the earliest heap event and
   /// migrate every heap event inside the new window into buckets.
   bool rotate_from_heap() const;
@@ -220,14 +226,15 @@ class Kernel {
   std::uint32_t node_count_ = 0;
   std::uint32_t free_head_ = kNil;
 
-  // Two-tier queue state. Mutable because next_time() lazily advances the
-  // bucket cursor and rotates the window (same pattern as the reference
-  // kernel's mutable lazy-deletion queue).
+  // Two-tier queue state. Mutable because next_time() lazily rotates the
+  // window (same pattern as the reference kernel's mutable lazy-deletion
+  // queue).
   mutable std::vector<Bucket> buckets_;
+  /// Bit b set iff buckets_[b] is non-empty.
+  mutable std::uint64_t occupied_[kOccupancyWords] = {};
   mutable std::vector<HeapEntry> heap_;
   mutable std::size_t heap_stale_ = 0;  ///< stale entries since last compaction
   mutable SimTime base_ = 0;        ///< time of buckets_[0]'s left edge
-  mutable std::size_t cur_ = 0;     ///< first possibly-non-empty bucket
   mutable std::uint32_t shift_ = 11;  ///< log2(bucket width in ps)
   /// Deferred set_bucket_hint shift + 1, applied at the next rotation
   /// (0 = no pending hint; +1 so a legitimate shift of 0 is representable).

@@ -23,7 +23,6 @@ void append_counters(std::string& out, const sync::ProfCounters& c) {
   out += "{\"tx_msgs\":" + std::to_string(c.tx_msgs);
   out += ",\"rx_msgs\":" + std::to_string(c.rx_msgs);
   out += ",\"tx_syncs\":" + std::to_string(c.tx_syncs);
-  out += ",\"rx_syncs\":" + std::to_string(c.rx_syncs);
   out += ",\"tx_cycles\":" + std::to_string(c.tx_cycles);
   out += ",\"rx_cycles\":" + std::to_string(c.rx_cycles);
   out += ",\"sync_wait_cycles\":" + std::to_string(c.sync_wait_cycles);
@@ -327,7 +326,6 @@ sync::ProfCounters read_counters(const JsonValue& o) {
   c.tx_msgs = read_u64(o, "tx_msgs");
   c.rx_msgs = read_u64(o, "rx_msgs");
   c.tx_syncs = read_u64(o, "tx_syncs");
-  c.rx_syncs = read_u64(o, "rx_syncs");
   c.tx_cycles = read_u64(o, "tx_cycles");
   c.rx_cycles = read_u64(o, "rx_cycles");
   c.sync_wait_cycles = read_u64(o, "sync_wait_cycles");

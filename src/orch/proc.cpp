@@ -731,13 +731,13 @@ runtime::RunStats run_multiprocess(runtime::Simulation& sim, const ProfileSpec& 
       }
       ckpt::verify_resume(ckpt::merge_shards(shards), *resume, ckpt->resume_from);
       resume_verified = true;
-    } catch (runtime::SimulationError err) {
+    } catch (runtime::SimulationError& err) {
       merged.record_error(err);
       cks = parent_ckpt_summary(*ckpt, resume, false);
       cksp = &cks;
       write_parent_artifacts(profile, merged, records, plan, fleet_series, end, cksp);
       err.attach_stats(std::make_shared<const runtime::RunStats>(merged));
-      throw err;
+      throw;
     }
   }
   if (ckpt != nullptr) {

@@ -131,8 +131,7 @@ double project_wall_seconds(const ProfileReport& report, const PerfModelConfig& 
   for (const auto& c : report.components) {
     double load = static_cast<double>(c.busy_cycles);
     for (const auto& a : c.adapters) {
-      load += cfg.cycles_per_sync *
-              static_cast<double>(a.counters.tx_syncs + a.counters.rx_syncs);
+      load += cfg.cycles_per_sync * static_cast<double>(a.counters.tx_syncs);
       load += cfg.cycles_per_data_msg *
               static_cast<double>(a.counters.tx_msgs + a.counters.rx_msgs);
     }

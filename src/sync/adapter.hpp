@@ -88,13 +88,15 @@ class Adapter {
   /// dispatch at timestamp + latency, FIFO order — match deliver_one().
   /// `now` is the batch time: a message whose receive time lies below it
   /// missed its own batch, so a promise was broken — throws SyncViolation.
-  /// Returns the number of messages delivered.
+  /// Returns the number of messages delivered. The TSC is read only once a
+  /// data message arrives: most batches deliver nothing.
   std::size_t deliver_all(SimTime now) {
     SimTime lat = config().latency;
     if (now < lat) return 0;  // nothing can have a receive time <= now yet
-    std::uint64_t c0 = rdcycles();
+    std::uint64_t c0 = 0;
     std::uint64_t ch = channel_hash();
     std::size_t n = end_->drain_until(now - lat, [&](const Message& m) {
+      if (c0 == 0) c0 = rdcycles();
       if (m.timestamp + lat < now) {
         throw SyncViolation(end_->channel_name(),
                             "message with receive time " + std::to_string(m.timestamp + lat) +
@@ -108,9 +110,10 @@ class Adapter {
       dispatch(m, m.timestamp + lat);
     });
     if (n != 0) {
+      const std::uint64_t c1 = rdcycles();
       counters_.rx_msgs += n;
-      counters_.rx_cycles += rdcycles() - c0;
-      obs::record_span(obs::kNameDeliver, trace_track_, now, c0, rdcycles(), n);
+      counters_.rx_cycles += c1 - c0;
+      if (obs::tracing_enabled()) obs::record_span(obs::kNameDeliver, trace_track_, now, c0, c1, n);
     }
     return n;
   }
@@ -129,11 +132,18 @@ class Adapter {
   /// interval is read through the channel's live override (adaptive
   /// orchestration may retune it mid-run); any interval in [1, latency]
   /// keeps (last_sent/I + 1)*I strictly ahead of last_sent, so re-gridding
-  /// mid-run never stalls or reorders the wire.
+  /// mid-run never stalls or reorders the wire. Every poll asks, so the
+  /// result is cached until last_sent or the interval changes.
   SimTime next_sync_due() const {
     if (!end_->has_sent()) return 0;
-    SimTime interval = end_->effective_sync_interval();
-    return (end_->last_sent() / interval + 1) * interval;
+    const SimTime last = end_->last_sent();
+    const SimTime interval = end_->effective_sync_interval();
+    if (last != due_last_sent_ || interval != due_interval_) {
+      due_last_sent_ = last;
+      due_interval_ = interval;
+      due_ = (last / interval + 1) * interval;
+    }
+    return due_;
   }
 
   /// Emit a periodic SYNC if due at `now`.
@@ -142,10 +152,7 @@ class Adapter {
   }
 
   void send_sync(SimTime ts) {
-    Message m;
-    m.timestamp = ts;
-    m.type = static_cast<std::uint16_t>(MsgType::kSync);
-    counters_.tx_cycles += end_->send(m);
+    counters_.tx_cycles += end_->send_control(MsgType::kSync, ts);
     counters_.tx_syncs++;
   }
 
@@ -157,40 +164,33 @@ class Adapter {
 
   /// Terminal message: peer's horizon becomes unbounded.
   void send_fin() {
-    Message m;
-    m.timestamp = end_->has_sent() ? end_->last_sent() + 1 : 0;
-    m.type = static_cast<std::uint16_t>(MsgType::kFin);
-    end_->send(m);
+    end_->send_control(MsgType::kFin, end_->has_sent() ? end_->last_sent() + 1 : 0);
   }
 
   /// Send a data message of `type` with a POD payload at time `now`.
   template <typename T>
   void send(std::uint16_t type, const T& payload, SimTime now, std::uint16_t subchannel = 0) {
-    Message m;
-    m.timestamp = now;
-    m.type = type;
-    m.subchannel = subchannel;
+    Message m(now, type, subchannel);
     m.store(payload);
     send_msg(m);
   }
 
   /// Send a payload-free data message.
   void send(std::uint16_t type, SimTime now, std::uint16_t subchannel = 0) {
-    Message m;
-    m.timestamp = now;
-    m.type = type;
-    m.subchannel = subchannel;
-    send_msg(m);
+    send_msg(Message(now, type, subchannel));
   }
 
-  void send_msg(Message m) {
+  void send_msg(const Message& m) {
     if (fault_ != nullptr) {
       // Decisions are drawn per data message in send order, which is a pure
       // function of the simulation — faulted runs replay across run modes.
       FaultDecision d = fault_->decide();
       if (d.drop) return;
-      m.timestamp += d.delay;
-      if (d.duplicate) send_wire(m);  // copy gets the +1 ps monotonic bump
+      Message f = m;
+      f.timestamp += d.delay;
+      if (d.duplicate) send_wire(f);  // copy gets the +1 ps monotonic bump
+      send_wire(f);
+      return;
     }
     send_wire(m);
   }
@@ -255,6 +255,11 @@ class Adapter {
   EventDigest digest_;
   std::unique_ptr<ChannelFaultInjector> fault_;  ///< null = injection off
   std::uint64_t channel_hash_ = 0;
+  // next_sync_due() cache, keyed on (last_sent, interval); an interval of
+  // 0 never occurs, so the first call always computes.
+  mutable SimTime due_last_sent_ = 0;
+  mutable SimTime due_interval_ = 0;
+  mutable SimTime due_ = 0;
   std::uint32_t trace_track_ = 0;
   std::uint32_t peer_trace_track_ = 0;
 };

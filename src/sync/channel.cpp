@@ -10,11 +10,13 @@ Channel::Channel(std::string name, ChannelConfig cfg)
     : name_(std::move(name)), cfg_(cfg),
       transport_(std::make_unique<InProcTransport>(cfg.ring_capacity)) {
   end_a_.channel_ = this;
+  end_a_.peer_ = &end_b_;
   end_a_.tx_spill_ = &a_spill_;
   end_a_.rx_spill_ = &b_spill_;
   end_a_.tx_spill_count_ = &a_spill_count_;
   end_a_.rx_spill_count_ = &b_spill_count_;
   end_b_.channel_ = this;
+  end_b_.peer_ = &end_a_;
   end_b_.tx_spill_ = &b_spill_;
   end_b_.rx_spill_ = &a_spill_;
   end_b_.tx_spill_count_ = &b_spill_count_;
@@ -111,55 +113,81 @@ bool ChannelEnd::push_with_backpressure(const Message& msg, std::uint64_t& spin_
   return true;
 }
 
-std::uint64_t ChannelEnd::send(Message msg) {
+std::uint64_t ChannelEnd::send(const Message& msg) {
+  if (msg.is_sync() || msg.is_fin()) {
+    return send_control(static_cast<MsgType>(msg.type), msg.timestamp);
+  }
   // Data messages carry strictly increasing timestamps: that is what makes
   // the receive horizon (last_recv + latency) safe to advance to
   // *inclusively*. The 1 ps bump for same-time data is far below any
-  // modeled latency. SYNC/FIN only move the horizon, so they may *tie*
-  // with the current wire timestamp instead of bumping past it: a bumped
-  // sync would fold the wall-clock-dependent placement of null messages
-  // into last_sent_ and from there into later data timestamps, breaking
-  // cross-mode determinism. With the tie rule, data bumps depend only on
-  // earlier data, which is identical in every run mode.
-  if (msg.is_sync() || msg.is_fin()) {
-    if (sent_anything_ && msg.timestamp < last_sent_) msg.timestamp = last_sent_;
-  } else {
-    if (data_sends_ != 0 && msg.timestamp <= last_data_sent_) {
-      msg.timestamp = last_data_sent_ + 1;
-    }
-    // Promise discipline (nulls are emitted only while every pending local
-    // action lies strictly beyond the promise) keeps data ahead of the
-    // wire timestamp; the receiver's inclusive horizon depends on it.
-    if (sent_anything_ && msg.timestamp <= last_sent_) {
-      throw SyncViolation(channel_->name_, "data timestamp " + std::to_string(msg.timestamp) +
-                                               " ps is not above the last promise " +
-                                               std::to_string(last_sent_) + " ps");
-    }
-    last_data_sent_ = msg.timestamp;
-    ++data_sends_;
-    if (ckpt_window_enabled_) {
-      ckpt_window_.push_back({msg.timestamp, hash_event(ckpt_channel_hash_, msg)});
-    }
+  // modeled latency. Only a bumped message is copied.
+  if (data_sends_ != 0 && msg.timestamp <= last_data_sent_) {
+    Message bumped = msg;
+    bumped.timestamp = last_data_sent_ + 1;
+    return send_data(bumped);
   }
-  if (msg.timestamp > last_sent_) last_sent_ = msg.timestamp;
+  return send_data(msg);
+}
+
+std::uint64_t ChannelEnd::send_data(const Message& msg) {
+  // Promise discipline (nulls are emitted only while every pending local
+  // action lies strictly beyond the promise) keeps data ahead of the
+  // wire timestamp; the receiver's inclusive horizon depends on it.
+  if (sent_anything_ && msg.timestamp <= last_sent_) {
+    throw SyncViolation(channel_->name_, "data timestamp " + std::to_string(msg.timestamp) +
+                                             " ps is not above the last promise " +
+                                             std::to_string(last_sent_) + " ps");
+  }
+  last_data_sent_ = msg.timestamp;
+  ++data_sends_;
+  if (ckpt_window_enabled_) {
+    ckpt_window_.push_back({msg.timestamp, hash_event(ckpt_channel_hash_, msg)});
+  }
+  last_sent_ = msg.timestamp;
   sent_anything_ = true;
   std::uint64_t spin = 0;
   push_with_backpressure(msg, spin);
-  if (wire_ != nullptr) {
-    // Cross-process transport: account the frame we just put on the wire
-    // (relaxed bumps on a cached pointer — inproc channels never pay this).
-    wire_->tx_frames.fetch_add(1, std::memory_order_relaxed);
-    wire_->tx_bytes.fetch_add(wire_->fixed_frame_bytes != 0
-                                  ? wire_->fixed_frame_bytes
-                                  : wire_->frame_overhead + msg.size,
-                              std::memory_order_relaxed);
-    if (msg.is_sync()) {
-      wire_->tx_syncs.fetch_add(1, std::memory_order_relaxed);
-    } else if (!msg.is_fin()) {
-      wire_->tx_datas.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  if (wire_ != nullptr) count_wire(msg);
   return spin;
+}
+
+std::uint64_t ChannelEnd::send_control(MsgType type, SimTime ts) {
+  // SYNC/FIN only move the horizon, so they may *tie* with the current
+  // wire timestamp instead of bumping past it: a bumped sync would fold the
+  // wall-clock-dependent placement of null messages into last_sent_ and
+  // from there into later data timestamps, breaking cross-mode
+  // determinism. With the tie rule, data bumps depend only on earlier
+  // data, which is identical in every run mode.
+  if (sent_anything_ && ts < last_sent_) ts = last_sent_;
+  last_sent_ = ts;
+  sent_anything_ = true;
+  if (type == MsgType::kSync && channel_->mode_ == ChannelMode::kSpillSingleThread &&
+      wire_ == nullptr && !direct_send_) {
+    // Same thread on both ends: the peer would pop this SYNC only to apply
+    // note_recv. Applying it now gives every later poll the same horizon —
+    // while older data is pending, the peer bounds on that data, not on
+    // the horizon.
+    peer_->note_recv(ts, false);
+    return 0;
+  }
+  const Message msg(ts, static_cast<std::uint16_t>(type));
+  std::uint64_t spin = 0;
+  push_with_backpressure(msg, spin);
+  if (wire_ != nullptr) count_wire(msg);
+  return spin;
+}
+
+void ChannelEnd::count_wire(const Message& msg) {
+  // Relaxed bumps on a cached pointer; inproc channels never get here.
+  wire_->tx_frames.fetch_add(1, std::memory_order_relaxed);
+  wire_->tx_bytes.fetch_add(wire_->fixed_frame_bytes != 0 ? wire_->fixed_frame_bytes
+                                                          : wire_->frame_overhead + msg.size,
+                            std::memory_order_relaxed);
+  if (msg.is_sync()) {
+    wire_->tx_syncs.fetch_add(1, std::memory_order_relaxed);
+  } else if (!msg.is_fin()) {
+    wire_->tx_datas.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void ChannelEnd::enable_ckpt_window() {

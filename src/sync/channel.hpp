@@ -102,11 +102,19 @@ class ChannelEnd {
 
   // ---- producer side -------------------------------------------------
   /// Send `msg`; data timestamps are bumped to stay strictly increasing,
-  /// SYNC/FIN timestamps are clamped up to the wire timestamp (ties
-  /// allowed). Blocks (kBlocking mode) or grows the spill queue (spill
-  /// modes) when the ring is full. Returns cycles spent on backpressure.
-  /// Throws SyncViolation for data at or below the last wire timestamp.
-  std::uint64_t send(Message msg);
+  /// SYNC/FIN go through send_control. Blocks (kBlocking mode) or grows the
+  /// spill queue (spill modes) when the ring is full. Returns cycles spent
+  /// on backpressure. Throws SyncViolation for data at or below the last
+  /// wire timestamp.
+  std::uint64_t send(const Message& msg);
+
+  /// Send a payload-free SYNC or FIN at `ts`, clamped up to the wire
+  /// timestamp (ties allowed). Only the 16-byte header is built and queued.
+  /// In a coscheduled run over an in-process transport both ends run on
+  /// one thread, so a SYNC skips the ring: it moves the peer end's receive
+  /// state directly, by the rule a received SYNC applies (note_recv).
+  /// Returns cycles spent on backpressure.
+  std::uint64_t send_control(MsgType type, SimTime ts);
 
   /// Highest timestamp sent so far on the wire (data or sync).
   SimTime last_sent() const { return last_sent_; }
@@ -204,13 +212,17 @@ class ChannelEnd {
   friend class Channel;
   ChannelEnd() = default;
 
+  std::uint64_t send_data(const Message& msg);
   bool push_with_backpressure(const Message& msg, std::uint64_t& spin_cycles);
+  /// Cross-process transport: account the frame just put on the wire.
+  void count_wire(const Message& msg);
   const Message* spill_front(bool& from_spill);
   void spill_pop();
   /// Account a received message (data, SYNC or FIN) in the horizon state.
-  void note_recv(const Message& m) {
-    if (m.timestamp > last_recv_) last_recv_ = m.timestamp;
-    if (m.is_fin()) {
+  void note_recv(const Message& m) { note_recv(m.timestamp, m.is_fin()); }
+  void note_recv(SimTime ts, bool fin) {
+    if (ts > last_recv_) last_recv_ = ts;
+    if (fin) {
       fin_received_ = true;
       horizon_ = kSimTimeMax;
     } else if (horizon_ != kSimTimeMax) {
@@ -220,6 +232,7 @@ class ChannelEnd {
   }
 
   Channel* channel_ = nullptr;
+  ChannelEnd* peer_ = nullptr;  ///< the other end of the channel
   MessageRing* tx_ = nullptr;  ///< null when the transport sends direct
   MessageRing* rx_ = nullptr;
   Transport* transport_ = nullptr;  ///< rewired by Channel::set_transport

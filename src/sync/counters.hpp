@@ -18,7 +18,6 @@ struct ProfCounters {
   std::uint64_t tx_msgs = 0;           ///< data messages sent
   std::uint64_t rx_msgs = 0;           ///< data messages received
   std::uint64_t tx_syncs = 0;          ///< sync (null) messages sent
-  std::uint64_t rx_syncs = 0;          ///< sync (null) messages received
   /// Sends that hit a full ring (blocked or spilled). Not maintained on the
   /// send fast path: the channel end counts stalls in an atomic and the
   /// runtime copies the value here when it snapshots counters.
@@ -31,7 +30,6 @@ struct ProfCounters {
     tx_msgs += o.tx_msgs;
     rx_msgs += o.rx_msgs;
     tx_syncs += o.tx_syncs;
-    rx_syncs += o.rx_syncs;
     backpressure_stalls += o.backpressure_stalls;
     return *this;
   }
@@ -44,7 +42,6 @@ struct ProfCounters {
     d.tx_msgs = tx_msgs - earlier.tx_msgs;
     d.rx_msgs = rx_msgs - earlier.rx_msgs;
     d.tx_syncs = tx_syncs - earlier.tx_syncs;
-    d.rx_syncs = rx_syncs - earlier.rx_syncs;
     d.backpressure_stalls = backpressure_stalls - earlier.backpressure_stalls;
     return d;
   }

@@ -313,10 +313,9 @@ void SocketTransport::pump(int side) {
       record_failure(side, "inconsistent frame on channel '" + params_.channel_name + "'");
       return;
     }
-    Message msg;  // payload tail stays zeroed — digests hash payload[0..size)
-    msg.timestamp = hdr.timestamp;
-    msg.type = hdr.type;
-    msg.subchannel = hdr.subchannel;
+    // Only payload[0..size) is written: the ring copies and digests hash
+    // exactly that much.
+    Message msg(hdr.timestamp, hdr.type, hdr.subchannel);
     msg.size = hdr.size;
     std::memcpy(msg.payload, buf + sizeof(hdr), hdr.size);
     if (msg.is_fin()) fin_pumped_[side].store(true, std::memory_order_relaxed);

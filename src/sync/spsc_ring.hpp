@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <type_traits>
 
@@ -42,12 +43,13 @@ static_assert(std::is_trivially_destructible_v<RingState>);
 
 class MessageRing {
  public:
-  /// Owning ring on the heap. `capacity` must be a power of two.
+  /// Owning ring on the heap. `capacity` must be a power of two. The slot
+  /// storage is not zero-filled: a slot is read only after a push wrote it.
   explicit MessageRing(std::size_t capacity = 512)
       : capacity_(capacity), mask_(capacity - 1),
         owned_state_(std::make_unique<RingState>()),
-        owned_slots_(std::make_unique<Message[]>(capacity)),
-        st_(owned_state_.get()), slots_(owned_slots_.get()) {
+        owned_slots_(std::make_unique_for_overwrite<unsigned char[]>(capacity * sizeof(Message))),
+        st_(owned_state_.get()), slots_(reinterpret_cast<Message*>(owned_slots_.get())) {
     assert(capacity >= 2 && (capacity & (capacity - 1)) == 0);
   }
 
@@ -64,12 +66,19 @@ class MessageRing {
   MessageRing(const MessageRing&) = delete;
   MessageRing& operator=(const MessageRing&) = delete;
 
-  /// Producer: enqueue a copy of `msg`. Returns false when full.
+  /// Producer: enqueue a copy of `msg`'s header and its `size` payload
+  /// bytes (the rest of the slot keeps stale bytes nothing reads). Returns
+  /// false when full.
   bool try_push(const Message& msg) {
     std::uint64_t head = st_->head.load(std::memory_order_relaxed);
     std::uint64_t tail = st_->tail.load(std::memory_order_acquire);
     if (head - tail >= capacity_) return false;
-    slots_[head & mask_] = msg;
+    Message& slot = slots_[head & mask_];
+    slot.timestamp = msg.timestamp;
+    slot.type = msg.type;
+    slot.subchannel = msg.subchannel;
+    slot.size = msg.size;
+    if (msg.size != 0) std::memcpy(slot.payload, msg.payload, msg.size);
     st_->head.store(head + 1, std::memory_order_release);
     return true;
   }
@@ -158,7 +167,7 @@ class MessageRing {
   const std::size_t capacity_;
   const std::size_t mask_;
   std::unique_ptr<RingState> owned_state_;
-  std::unique_ptr<Message[]> owned_slots_;
+  std::unique_ptr<unsigned char[]> owned_slots_;  ///< raw slot storage
   RingState* st_;
   Message* slots_;
   const bool futex_park_ = false;

@@ -83,7 +83,6 @@ void expect_same_counters(const sync::ProfCounters& a, const sync::ProfCounters&
   EXPECT_EQ(a.tx_msgs, b.tx_msgs);
   EXPECT_EQ(a.rx_msgs, b.rx_msgs);
   EXPECT_EQ(a.tx_syncs, b.tx_syncs);
-  EXPECT_EQ(a.rx_syncs, b.rx_syncs);
   EXPECT_EQ(a.backpressure_stalls, b.backpressure_stalls);
 }
 

@@ -49,7 +49,6 @@ RunStats make_synthetic_stats() {
   ha.component = "heavy";
   ha.peer_component = "light";
   ha.totals.tx_syncs = 100;
-  ha.totals.rx_syncs = 100;
   heavy.adapters.push_back(ha);
 
   ComponentStats light;
@@ -60,7 +59,6 @@ RunStats make_synthetic_stats() {
   la.component = "light";
   la.peer_component = "heavy";
   la.totals.tx_syncs = 100;
-  la.totals.rx_syncs = 100;
   light.adapters.push_back(la);
 
   rs.components = {heavy, light};

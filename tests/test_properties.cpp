@@ -352,7 +352,11 @@ TEST_P(RngProperty, UniformMomentsAndIndependence) {
 // cancel / run_next / run_all_at operations — with deliberate timestamp ties
 // and a mix of calendar-window and far-future horizons — must produce an
 // identical execution order from both. Half the seeds also retune the bucket
-// geometry mid-run (set_bucket_hint) to cover deferred window reshaping.
+// geometry mid-run (set_bucket_hint) to cover deferred window reshaping. A
+// second stream keeps the calendar sparse — a few events scattered over
+// many buckets, far-future events that force window rotations, and cancels
+// of the head event that empty the head bucket — so the occupancy bitmap
+// that finds the head bucket is checked against the same specification.
 // ---------------------------------------------------------------------------
 
 class KernelProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -414,4 +418,68 @@ TEST_P(KernelProperty, MatchesReferenceKernelExecutionOrder) {
   EXPECT_EQ(k_log, ref_log);
   EXPECT_EQ(k.events_executed(), ref.events_executed());
   EXPECT_EQ(k.live_events(), 0u);
+}
+
+TEST_P(KernelProperty, SparseCalendarAndHeadCancelsMatchReference) {
+  Rng rng(GetParam() * 0x51ED27u + 7);
+  des::Kernel k;
+  des::ReferenceKernel ref;
+  k.set_bucket_hint(50'000);
+  const SimTime width = k.bucket_width();
+  const SimTime window = 256 * width;
+
+  std::vector<std::uint64_t> k_log, ref_log;
+  // Pending events keyed (time, tag): tags grow in scheduling order, so the
+  // map's first entry is the kernels' next event.
+  using Key = std::pair<SimTime, std::uint64_t>;
+  std::map<Key, std::pair<des::Kernel::EventId, des::ReferenceKernel::EventId>> pending;
+  std::uint64_t tag = 0;
+  std::uint64_t rotations = 0;
+
+  for (int step = 0; step < 4000; ++step) {
+    double p = rng.uniform();
+    if (p < 0.4 || pending.empty()) {
+      double q = rng.uniform();
+      SimTime t;
+      if (q < 0.5) {
+        t = k.now() + rng.below(window);  // anywhere in the window
+      } else if (q < 0.8) {
+        t = k.now() + window + rng.below(6 * window);  // heap tier
+      } else {
+        t = k.now() + width * rng.below(4);  // ties near the clock
+      }
+      const Key key{t, ++tag};
+      auto ka = k.schedule_at(t, [&k_log, &pending, key] {
+        k_log.push_back(key.second);
+        pending.erase(key);
+      });
+      auto ra = ref.schedule_at(t, [&ref_log, key] { ref_log.push_back(key.second); });
+      pending.emplace(key, std::make_pair(ka, ra));
+    } else if (p < 0.6) {
+      // Cancel the head event: its bucket often empties.
+      auto it = pending.begin();
+      k.cancel(it->second.first);
+      ref.cancel(it->second.second);
+      pending.erase(it);
+    } else {
+      SimTime nt = ref.next_time();
+      if (nt != kSimTimeMax && nt >= k.now() + window) ++rotations;
+      ASSERT_EQ(k.next_time(), nt) << "step " << step;
+      if (nt != kSimTimeMax) {
+        k.run_next();
+        ref.run_next();
+        ASSERT_EQ(k.now(), ref.now()) << "step " << step;
+      }
+    }
+    ASSERT_EQ(k_log, ref_log) << "step " << step;
+    ASSERT_EQ(k.live_events(), pending.size()) << "step " << step;
+  }
+  while (!ref.empty()) {
+    ASSERT_EQ(k.next_time(), ref.next_time());
+    k.run_next();
+    ref.run_next();
+  }
+  EXPECT_TRUE(k.empty());
+  EXPECT_EQ(k_log, ref_log);
+  EXPECT_GT(rotations, 10u) << "the stream must reach past the calendar window";
 }

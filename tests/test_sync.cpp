@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <thread>
 
 #include "sync/adapter.hpp"
 #include "sync/channel.hpp"
+#include "sync/digest.hpp"
 #include "sync/message.hpp"
 #include "sync/spsc_ring.hpp"
 #include "sync/trunk.hpp"
@@ -27,6 +30,26 @@ TEST(MessageTest, PayloadRoundTrip) {
   Payload p = m.as<Payload>();
   EXPECT_EQ(p.a, 7u);
   EXPECT_DOUBLE_EQ(p.b, 2.5);
+}
+
+TEST(MessageTest, DecodingPastStoredSizeThrows) {
+  struct Payload {
+    std::uint64_t a;
+    std::uint64_t b;
+  };
+  Message m(10, kUserTypeBase + 3);  // payload-free
+  try {
+    (void)m.as<Payload>();
+    FAIL() << "decoding a payload-free message as a struct must throw";
+  } catch (const PayloadSizeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("type " + std::to_string(kUserTypeBase + 3)), std::string::npos) << what;
+    EXPECT_NE(what.find("16"), std::string::npos) << what;
+    EXPECT_NE(what.find("carries 0"), std::string::npos) << what;
+  }
+  m.store(std::uint32_t{7});  // 4 of the 16 bytes
+  EXPECT_THROW((void)m.as<Payload>(), PayloadSizeError);
+  EXPECT_EQ(m.as<std::uint32_t>(), 7u);
 }
 
 TEST(RingTest, FifoOrder) {
@@ -65,6 +88,45 @@ TEST(RingTest, WrapsAround) {
     EXPECT_EQ(f->timestamp, static_cast<SimTime>(round));
     ring.pop();
   }
+}
+
+TEST(RingTest, ShorterMessageInReusedSlotMatchesFreshRing) {
+  // Slots copy only the header and `size` payload bytes, so a reused slot
+  // keeps the tail of the previous, longer message. Nothing may read it.
+  struct Full {
+    unsigned char bytes[Message::kPayloadCapacity];
+  };
+  struct Short {
+    std::uint32_t a;
+    std::uint16_t b;
+  };
+  Full full;
+  std::memset(full.bytes, 0xAB, sizeof(full.bytes));
+  Message big(5, kUserTypeBase);
+  big.store(full);
+  Message small(9, kUserTypeBase + 1, 3);
+  small.store(Short{0x01020304u, 0x0506});
+
+  MessageRing reused(2);
+  for (int i = 0; i < 2; ++i) {  // fill and drain both slots with full-size payloads
+    ASSERT_TRUE(reused.try_push(big));
+    reused.pop();
+  }
+  ASSERT_TRUE(reused.try_push(small));  // lands in slot 0 again
+  MessageRing fresh(2);
+  ASSERT_TRUE(fresh.try_push(small));
+
+  const Message* r = reused.front();
+  const Message* f = fresh.front();
+  ASSERT_NE(r, nullptr);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(r->size, sizeof(Short));
+  EXPECT_EQ(r->subchannel, 3u);
+  EXPECT_EQ(hash_event(42, *r), hash_event(42, *f));
+  EXPECT_EQ(hash_event(42, *r), hash_event(42, small));
+  EXPECT_EQ(r->as<Short>().a, f->as<Short>().a);
+  EXPECT_EQ(r->as<Short>().b, f->as<Short>().b);
+  EXPECT_THROW((void)r->as<Full>(), PayloadSizeError);
 }
 
 TEST(RingTest, CrossThreadTransfer) {
@@ -159,6 +221,29 @@ TEST(ChannelTest, SingleThreadedSpillPreservesOrder) {
     ch.end_b().consume();
   }
   EXPECT_EQ(ch.end_b().peek(), nullptr);
+}
+
+TEST(ChannelTest, CoscheduledSyncTakesNoRingSlot) {
+  Channel ch("c", {.latency = 100, .ring_capacity = 4});
+  ch.set_mode(ChannelMode::kSpillSingleThread);
+  Adapter a("a", ch.end_a());
+  for (SimTime t = 1; t <= 20; ++t) a.send_sync(t * 10);
+  // Twenty SYNCs through a 4-slot ring: none queued, none spilled, and the
+  // peer's horizon already covers the last one.
+  EXPECT_EQ(ch.end_b().rx_ring_depth(), 0u);
+  EXPECT_EQ(ch.end_b().rx_spill_depth(), 0u);
+  EXPECT_EQ(ch.end_a().tx_backpressure_stalls(), 0u);
+  EXPECT_EQ(ch.end_b().last_recv(), 200u);
+  EXPECT_EQ(ch.end_b().horizon(), 300u);
+  EXPECT_EQ(a.counters().tx_syncs, 20u);
+  // Data and FIN still go through the ring.
+  a.send(kUserTypeBase, 250);
+  a.send_fin();
+  EXPECT_EQ(ch.end_b().rx_ring_depth(), 2u);
+  ASSERT_NE(ch.end_b().peek(), nullptr);
+  ch.end_b().consume();
+  EXPECT_EQ(ch.end_b().peek(), nullptr);
+  EXPECT_TRUE(ch.end_b().fin_received());
 }
 
 TEST(ChannelTest, EffectiveSyncIntervalClampedToLatency) {
@@ -399,6 +484,75 @@ TEST(ChannelPropertyTest, SyncsMayTieWithWireTimestamp) {
   d.timestamp = 500;
   a.send(d);
   EXPECT_EQ(a.last_sent(), 501u);
+}
+
+TEST(ChannelPropertyTest, CoscheduledSyncsMatchBlockingMode) {
+  // Coscheduled channels apply SYNCs to the peer end directly instead of
+  // queueing them. A random stream of data, SYNCs and a final FIN, sent to
+  // a spilling 4-slot coscheduled channel and to a blocking one big enough
+  // never to fill, must give the receiver the same data in the same order,
+  // and the same last_recv() and horizon() after every full drain.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 0x2545F491u);
+    Channel cos("p", {.latency = 70, .ring_capacity = 4});
+    cos.set_mode(ChannelMode::kSpillSingleThread);
+    Channel blk("p", {.latency = 70, .ring_capacity = 1 << 14});
+    blk.set_mode(ChannelMode::kBlocking);
+    Channel* chans[2] = {&cos, &blk};
+    std::uint32_t payload = 0;
+    bool last_was_data = false;
+    auto send_both = [&](const Message& m) {
+      for (Channel* c : chans) c->end_a().send(m);
+      ASSERT_EQ(cos.end_a().last_sent(), blk.end_a().last_sent());
+    };
+    auto full_drain = [&](int step) {
+      for (;;) {
+        const Message* mc = cos.end_b().peek();
+        const Message* mb = blk.end_b().peek();
+        ASSERT_EQ(mc == nullptr, mb == nullptr) << "seed " << seed << " step " << step;
+        if (mc == nullptr) break;
+        ASSERT_EQ(mc->timestamp, mb->timestamp) << "seed " << seed << " step " << step;
+        ASSERT_EQ(mc->as<std::uint32_t>(), mb->as<std::uint32_t>());
+        cos.end_b().consume();
+        blk.end_b().consume();
+      }
+      ASSERT_EQ(cos.end_b().last_recv(), blk.end_b().last_recv()) << "seed " << seed;
+      ASSERT_EQ(cos.end_b().horizon(), blk.end_b().horizon()) << "seed " << seed;
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const SimTime t = cos.end_a().last_sent();
+      double p = rng.uniform();
+      if (p < 0.35) {
+        // Data strictly past the last promise; a tie with the previous data
+        // message gets the 1 ps bump.
+        SimTime ts = t + (last_was_data && rng.chance(0.3) ? 0 : 1 + rng.below(40));
+        Message m(ts, kUserTypeBase);
+        m.store(payload++);
+        send_both(m);
+        last_was_data = true;
+      } else if (p < 0.75) {
+        // Behind, at or ahead of the wire: behind clamps up to a tie.
+        SimTime ts = t + rng.below(60);
+        ts = ts > 30 ? ts - 30 : 0;
+        send_both(Message(ts, static_cast<std::uint16_t>(MsgType::kSync)));
+        last_was_data = false;
+      } else if (p < 0.9) {
+        // Batched delivery up to a random wire limit: same data delivered.
+        SimTime limit = t > 100 ? t - rng.below(100) : t;
+        std::vector<SimTime> got[2];
+        for (int i = 0; i < 2; ++i) {
+          chans[i]->end_b().drain_until(limit, [&](const Message& m) { got[i].push_back(m.timestamp); });
+        }
+        ASSERT_EQ(got[0], got[1]) << "seed " << seed << " step " << step;
+      } else {
+        full_drain(step);
+      }
+    }
+    send_both(Message(cos.end_a().last_sent() + 1, static_cast<std::uint16_t>(MsgType::kFin)));
+    full_drain(-1);
+    EXPECT_TRUE(cos.end_b().fin_received());
+    EXPECT_EQ(cos.end_b().horizon(), kSimTimeMax);
+  }
 }
 
 TEST(ChannelPropertyTest, SpillLockedPreservesFifoAcrossThreads) {
