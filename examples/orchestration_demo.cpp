@@ -142,8 +142,8 @@ int main() {
 
   // 4. Named strategy + execution spec: no hand-written partitioner. "rs"
   //    groups each access switch with its hosts and isolates the spine;
-  //    the run mode, worker count, and profiler ride along in the
-  //    Instantiation, so run_instantiated needs no extra arguments.
+  //    the run mode and worker count ride along in the Instantiation, so
+  //    run_instantiated needs no extra arguments.
   {
     Counters c;
     System sys = build_system(c);
@@ -151,7 +151,6 @@ int main() {
     inst.fidelity_overrides["server"] = HostFidelity::kQemu;
     inst.exec.partition = "rs";
     inst.exec.run_mode = runtime::RunMode::kThreaded;
-    inst.profile.sample_period_cycles = 50'000'000;
     runtime::Simulation sim;
     auto done = instantiate_system(sim, sys, inst);
     auto stats = run_instantiated(sim, inst, from_ms(10.0));

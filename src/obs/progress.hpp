@@ -29,7 +29,6 @@ namespace splitsim::obs {
 /// Obs knobs as the runtime sees them (orch::ProfileSpec maps onto this).
 struct ObsConfig {
   bool trace = false;                            ///< record a Chrome trace
-  std::size_t trace_ring_capacity = std::size_t{1} << 16;  ///< records/thread
   std::uint64_t metrics_period_ms = 0;  ///< 0 = no periodic metrics snapshots
   std::uint64_t progress_period_ms = 0;  ///< 0 = no live progress lines
 

@@ -23,6 +23,7 @@ void append_counters(std::string& out, const sync::ProfCounters& c) {
   out += "{\"tx_msgs\":" + std::to_string(c.tx_msgs);
   out += ",\"rx_msgs\":" + std::to_string(c.rx_msgs);
   out += ",\"tx_syncs\":" + std::to_string(c.tx_syncs);
+  out += ",\"tx_nulls\":" + std::to_string(c.tx_nulls);
   out += ",\"tx_cycles\":" + std::to_string(c.tx_cycles);
   out += ",\"rx_cycles\":" + std::to_string(c.rx_cycles);
   out += ",\"sync_wait_cycles\":" + std::to_string(c.sync_wait_cycles);
@@ -115,6 +116,7 @@ std::string summary_json(const SummaryInputs& in) {
       out += "\n{\"name\":\"" + json_escape(c.name) + "\"";
       out += ",\"events\":" + std::to_string(c.events);
       out += ",\"batches\":" + std::to_string(c.batches);
+      out += ",\"sync_only_batches\":" + std::to_string(c.sync_only_batches);
       out += ",\"busy_cycles\":" + std::to_string(c.busy_cycles);
       out += ",\"wall_cycles\":" + std::to_string(c.wall_cycles);
       out += ",\"drain_cycles\":" + std::to_string(c.drain_cycles);
@@ -135,22 +137,6 @@ std::string summary_json(const SummaryInputs& in) {
         out += "}";
       }
       out += "]";
-      if (!c.samples.empty()) {
-        out += ",\"samples\":[";
-        for (std::size_t i = 0; i < c.samples.size(); ++i) {
-          const runtime::ProfSample& smp = c.samples[i];
-          out += i == 0 ? "{" : ",{";
-          out += "\"tsc\":" + std::to_string(smp.tsc);
-          out += ",\"sim_ps\":" + std::to_string(smp.sim_time);
-          out += ",\"adapters\":[";
-          for (std::size_t j = 0; j < smp.adapters.size(); ++j) {
-            if (j != 0) out += ",";
-            append_counters(out, smp.adapters[j]);
-          }
-          out += "]}";
-        }
-        out += "]";
-      }
       out += "}";
     }
     out += "]}";
@@ -326,6 +312,7 @@ sync::ProfCounters read_counters(const JsonValue& o) {
   c.tx_msgs = read_u64(o, "tx_msgs");
   c.rx_msgs = read_u64(o, "rx_msgs");
   c.tx_syncs = read_u64(o, "tx_syncs");
+  c.tx_nulls = read_u64(o, "tx_nulls");
   c.tx_cycles = read_u64(o, "tx_cycles");
   c.rx_cycles = read_u64(o, "rx_cycles");
   c.sync_wait_cycles = read_u64(o, "sync_wait_cycles");
@@ -353,6 +340,17 @@ runtime::RunStats parse_run(const JsonValue& run) {
   rs.digest.fold_xor = read_hex64(run, "digest_xor");
   rs.digest.fold_sum = read_hex64(run, "digest_sum");
   rs.digest.count = read_u64(run, "digest_count");
+  rs.sched_polls = read_u64(run, "sched_polls");
+  rs.sched_cycles = read_u64(run, "sched_cycles");
+  if (const JsonValue* workers = run.find("workers")) {
+    if (!workers->is_array()) throw std::runtime_error("'workers' is not an array");
+    for (const JsonValue& w : workers->array) {
+      rs.pooled_workers.push_back({read_u64(w, "quanta"), read_u64(w, "busy_cycles"),
+                                   read_u64(w, "steals"), read_u64(w, "sched_parks"),
+                                   read_u64(w, "sched_park_cycles"),
+                                   read_u64(w, "migrations_in")});
+    }
+  }
   const std::string& outcome = read_str(run, "outcome");
   if (outcome == "error") {
     rs.outcome = runtime::RunOutcome::kError;
@@ -374,6 +372,7 @@ runtime::RunStats parse_run(const JsonValue& run) {
     cs.name = read_str(c, "name");
     cs.events = read_u64(c, "events");
     cs.batches = read_u64(c, "batches");
+    cs.sync_only_batches = read_u64(c, "sync_only_batches");
     cs.busy_cycles = read_u64(c, "busy_cycles");
     cs.wall_cycles = read_u64(c, "wall_cycles");
     cs.drain_cycles = read_u64(c, "drain_cycles");
@@ -385,17 +384,6 @@ runtime::RunStats parse_run(const JsonValue& run) {
       as.totals = read_counters(member(a, "counters"));
       if (const JsonValue* w = a.find("wire")) as.wire = read_wire(*w);
       cs.adapters.push_back(std::move(as));
-    }
-    if (c.find("samples") != nullptr) {
-      for (const JsonValue& smp : read_array(c, "samples")) {
-        runtime::ProfSample ps;
-        ps.tsc = read_u64(smp, "tsc");
-        ps.sim_time = read_u64(smp, "sim_ps");
-        for (const JsonValue& ctr : read_array(smp, "adapters")) {
-          ps.adapters.push_back(read_counters(ctr));
-        }
-        cs.samples.push_back(std::move(ps));
-      }
     }
     rs.components.push_back(std::move(cs));
   }

@@ -139,8 +139,6 @@ Instantiated instantiate_system(runtime::Simulation& sim, const System& sys,
     if (h.apps) h.apps(out.hosts[h.name].ctx);
   }
 
-  sim.enable_profiling(inst.profile.sample_period_cycles);
-
   out.component_count = sim.components().size();
   return out;
 }
@@ -277,7 +275,6 @@ runtime::RunStats run_profiled(runtime::Simulation& sim, const ProfileSpec& prof
 
   obs::ObsConfig oc;
   oc.trace = profile.trace;
-  oc.trace_ring_capacity = profile.trace_ring_capacity;
   oc.metrics_period_ms = profile.metrics_period_ms;
   oc.progress_period_ms = profile.progress_period_ms;
   sim.set_obs(oc);

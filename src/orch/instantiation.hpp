@@ -66,15 +66,11 @@ struct ExecSpec {
   std::map<std::string, int> process_of;
 };
 
-/// Profiler + observability knobs (paper §3.3 sampling plus the obs layer:
-/// tracing, metrics, progress). Every artifact a run produces — the run
+/// Profiler + observability knobs (paper §3.3 run record plus the obs
+/// layer: tracing, metrics, progress). Every artifact a run produces — the run
 /// record summary.json, `wtpg*.dot`, trace/metrics JSON — lands under
 /// artifact_dir(), never the current directory.
 struct ProfileSpec {
-  /// Profiler sampling period in cycles: every component snapshots its
-  /// adapter counters this often (threaded runs), and the samples land in
-  /// summary.json. 0 = sampling off.
-  std::uint64_t sample_period_cycles = 0;
   /// When non-empty, every run writes its run record (summary.json,
   /// obs/summary.hpp) into this directory, and it becomes artifact_dir()
   /// for every other generated file. With the default (empty) spec a run
@@ -86,7 +82,6 @@ struct ProfileSpec {
   // ---- observability (splitsim::obs) ----------------------------------
   /// Record a Chrome trace (obs/trace.hpp) and export it after the run.
   bool trace = false;
-  std::size_t trace_ring_capacity = std::size_t{1} << 16;
   /// Metrics snapshot period in wall milliseconds (0 = metrics off).
   std::uint64_t metrics_period_ms = 0;
   /// Live progress-line period in wall milliseconds (0 = progress off).

@@ -282,7 +282,6 @@ void arm_debug_kill(runtime::Simulation& sim, const ProcessGroup& group, int ran
     // instead of lines on the inherited tty (only the parent prints).
     obs::ObsConfig oc;
     oc.trace = profile.trace;
-    oc.trace_ring_capacity = profile.trace_ring_capacity;
     oc.metrics_period_ms = profile.metrics_period_ms;
     oc.progress_period_ms = profile.progress_period_ms;
     const auto urank = static_cast<std::uint32_t>(rank);

@@ -8,39 +8,7 @@
 
 namespace splitsim::profiler {
 
-namespace {
-
-/// Counter deltas over the stable window of a sampled run: drop warm-up and
-/// cool-down entries and diff a late sample against an early one.
-struct Window {
-  bool valid = false;
-  std::uint64_t tsc_delta = 0;
-  SimTime sim_delta = 0;
-  std::vector<sync::ProfCounters> deltas;
-};
-
-Window sample_window(const runtime::ComponentStats& cs, std::size_t warmup,
-                     std::size_t cooldown) {
-  Window w;
-  const auto& s = cs.samples;
-  if (s.size() < warmup + cooldown + 2) return w;
-  const runtime::ProfSample& early = s[warmup];
-  const runtime::ProfSample& late = s[s.size() - 1 - cooldown];
-  if (late.tsc <= early.tsc) return w;
-  w.valid = true;
-  w.tsc_delta = late.tsc - early.tsc;
-  w.sim_delta = late.sim_time - early.sim_time;
-  w.deltas.reserve(late.adapters.size());
-  for (std::size_t i = 0; i < late.adapters.size() && i < early.adapters.size(); ++i) {
-    w.deltas.push_back(late.adapters[i].delta(early.adapters[i]));
-  }
-  return w;
-}
-
-}  // namespace
-
-ProfileReport build_report(const runtime::RunStats& stats, std::size_t drop_warmup,
-                           std::size_t drop_cooldown) {
+ProfileReport build_report(const runtime::RunStats& stats) {
   ProfileReport rep;
   rep.mode = stats.mode;
   rep.sim_seconds = stats.sim_seconds();
@@ -59,34 +27,27 @@ ProfileReport build_report(const runtime::RunStats& stats, std::size_t drop_warm
     cr.wall_cycles = cs.wall_cycles;
     cr.events = cs.events;
 
-    Window win = sample_window(cs, drop_warmup, drop_cooldown);
-
     std::uint64_t wall = cs.wall_cycles ? cs.wall_cycles : 1;
     std::uint64_t overhead = 0;
     std::uint64_t waiting = 0;
-    for (std::size_t i = 0; i < cs.adapters.size(); ++i) {
+    for (const auto& as : cs.adapters) {
       AdapterReport ar;
-      ar.adapter = cs.adapters[i].adapter;
-      ar.component = cs.adapters[i].component;
-      ar.peer_component = cs.adapters[i].peer_component;
-      ar.counters = (threaded && win.valid && i < win.deltas.size()) ? win.deltas[i]
-                                                                     : cs.adapters[i].totals;
-      std::uint64_t denom = (threaded && win.valid) ? win.tsc_delta : wall;
-      if (denom == 0) denom = 1;
+      ar.adapter = as.adapter;
+      ar.component = as.component;
+      ar.peer_component = as.peer_component;
+      ar.counters = as.totals;
       ar.wait_fraction =
-          static_cast<double>(ar.counters.sync_wait_cycles) / static_cast<double>(denom);
+          static_cast<double>(ar.counters.sync_wait_cycles) / static_cast<double>(wall);
       overhead += ar.counters.overhead_cycles();
       waiting += ar.counters.sync_wait_cycles;
       cr.adapters.push_back(std::move(ar));
     }
 
     if (threaded) {
-      std::uint64_t denom = win.valid ? win.tsc_delta : wall;
-      if (denom == 0) denom = 1;
       cr.efficiency = 1.0 - std::min<double>(1.0, static_cast<double>(overhead) /
-                                                      static_cast<double>(denom));
+                                                      static_cast<double>(wall));
       cr.waiting_fraction =
-          std::min(1.0, static_cast<double>(waiting) / static_cast<double>(denom));
+          std::min(1.0, static_cast<double>(waiting) / static_cast<double>(wall));
     }
     if (rep.sim_seconds > 0.0) {
       cr.load_cycles_per_simsec = static_cast<double>(cs.busy_cycles) / rep.sim_seconds;

@@ -76,11 +76,10 @@ struct ProfileReport {
   const ComponentReport* find(const std::string& name) const;
 };
 
-/// Build a report from run statistics. For threaded runs with samples, a
-/// configurable number of warm-up and cool-down log entries is dropped
-/// before computing counter deltas (paper §3.3.2).
-ProfileReport build_report(const runtime::RunStats& stats, std::size_t drop_warmup = 1,
-                           std::size_t drop_cooldown = 0);
+/// Build a report from a run's adapter counter totals. Threaded and pooled
+/// runs divide wait and overhead cycles by each component's wall cycles;
+/// coscheduled runs derive waiting from load imbalance.
+ProfileReport build_report(const runtime::RunStats& stats);
 
 /// Projected wall-clock seconds for running this simulation on a machine
 /// described by `cfg`, derived from per-component loads:

@@ -84,10 +84,13 @@ void Component::advance(const Poll& p) {
   // process this instant, and local events never enqueue into our own
   // receive rings. The batched drain pays one ring acquire per adapter
   // instead of one per message.
-  for (auto& a : adapters_) a->deliver_all(t);
+  std::size_t delivered = 0;
+  for (auto& a : adapters_) delivered += a->deliver_all(t);
+  const std::uint64_t executed = kernel_.events_executed();
   while (kernel_.next_time() <= t) kernel_.run_next();
   for (auto& a : adapters_) a->maybe_sync(t);
   ++batches_;
+  if (delivered == 0 && kernel_.events_executed() == executed) ++sync_only_batches_;
   if (traced) obs::record_span(obs::kNameAdvance, trace_track_, t, c0, rdcycles());
   maybe_observe();
 }
@@ -159,7 +162,6 @@ void Component::inject_stall(SimTime at, std::uint64_t batches) {
 
 void Component::run_thread(ThreadedShared& shared) {
   std::uint64_t t0 = rdcycles();
-  next_sample_tsc_ = sample_period_ ? t0 + sample_period_ : 0;
   Poll p = poll();
   while (!shared.abort.load(std::memory_order_relaxed)) {
     if (p.done(end_)) break;
@@ -264,36 +266,16 @@ void Component::run_thread(ThreadedShared& shared) {
 }
 
 void Component::maybe_observe() {
-  if (sample_period_ == 0 && !obs_live_) return;
+  if (!obs_live_) return;
   if (++batches_since_check_ < 64) return;
   batches_since_check_ = 0;
+  live_sim_time_.store(kernel_.now(), std::memory_order_relaxed);
+  if (publish_period_ == 0) return;
   std::uint64_t tsc = rdcycles();
-  if (obs_live_) {
-    live_sim_time_.store(kernel_.now(), std::memory_order_relaxed);
-    if (publish_period_ != 0 && tsc >= next_publish_tsc_) {
-      next_publish_tsc_ = tsc + publish_period_;
-      publish_obs_metrics();
-    }
+  if (tsc >= next_publish_tsc_) {
+    next_publish_tsc_ = tsc + publish_period_;
+    publish_obs_metrics();
   }
-  if (sample_period_ != 0 && tsc >= next_sample_tsc_) {
-    next_sample_tsc_ = tsc + sample_period_;
-    record_sample_now();
-  }
-}
-
-void Component::record_sample_now() {
-  ProfSample s;
-  s.tsc = rdcycles();
-  s.sim_time = kernel_.now();
-  s.adapters.reserve(adapters_.size());
-  for (auto& a : adapters_) {
-    sync::ProfCounters c = a->counters();
-    // Stall counts live in the channel end's atomic (never touched on the
-    // send fast path); fold them in at snapshot points only.
-    c.backpressure_stalls = a->end().tx_backpressure_stalls();
-    s.adapters.push_back(c);
-  }
-  samples_.push_back(std::move(s));
 }
 
 void Component::enable_obs(obs::Registry& reg, std::uint64_t publish_period_cycles) {

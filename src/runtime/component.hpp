@@ -36,16 +36,6 @@
 
 namespace splitsim::runtime {
 
-/// One periodic profiler log entry: wall cycle counter, simulation time, and
-/// a snapshot of every adapter's counters (paper §3.3: "log the values of
-/// these counters for each adapter and the current time stamp counter as
-/// well as that simulator's current simulation time").
-struct ProfSample {
-  std::uint64_t tsc = 0;
-  SimTime sim_time = 0;
-  std::vector<sync::ProfCounters> adapters;
-};
-
 /// State shared by all component threads of one threaded run: termination
 /// accounting, first-error capture, and the inputs of the hang watchdog.
 ///
@@ -219,10 +209,6 @@ class Component {
 
   // ---- profiling -------------------------------------------------------
 
-  /// Enable periodic counter sampling every `period_cycles` wall cycles.
-  void enable_sampling(std::uint64_t period_cycles) { sample_period_ = period_cycles; }
-  const std::vector<ProfSample>& samples() const { return samples_; }
-
   std::uint64_t busy_cycles() const { return busy_cycles_; }
   /// Charge `measured` wall cycles of work plus the modeled host work the
   /// models charged on this thread meanwhile (util/cycles.hpp), which is
@@ -243,8 +229,9 @@ class Component {
   /// of wall_cycles_ so busy/wall utilization reflects the active run only.
   std::uint64_t drain_cycles() const { return drain_cycles_; }
   std::uint64_t batches() const { return batches_; }
-
-  void record_sample_now();
+  /// Batches that delivered no data and ran no local event: they only
+  /// emitted a due SYNC.
+  std::uint64_t sync_only_batches() const { return sync_only_batches_; }
 
   // ---- observability ---------------------------------------------------
 
@@ -288,6 +275,7 @@ class Component {
   std::uint64_t wall_cycles_ = 0;
   std::uint64_t drain_cycles_ = 0;
   std::uint64_t batches_ = 0;
+  std::uint64_t sync_only_batches_ = 0;
 
   // Checkpointing: fire ckpt_hook_ for every pending boundary < limit.
   void record_ckpt_boundaries(SimTime limit);
@@ -302,14 +290,10 @@ class Component {
   SimTime fault_stall_at_ = kSimTimeMax;
   std::uint64_t fault_stall_batches_ = 0;
 
-  std::uint64_t sample_period_ = 0;  // 0 = sampling off
-  std::uint64_t next_sample_tsc_ = 0;
-  std::uint32_t batches_since_check_ = 0;
-  std::vector<ProfSample> samples_;
-
   // Observability state. obs_live_ folds "any live obs duty" into one flag
   // so the per-batch check stays a single branch when everything is off.
   bool obs_live_ = false;
+  std::uint32_t batches_since_check_ = 0;
   obs::Registry* obs_registry_ = nullptr;
   std::uint64_t publish_period_ = 0;
   std::uint64_t next_publish_tsc_ = 0;

@@ -139,10 +139,6 @@ sync::Channel& Simulation::add_channel(std::string name, sync::ChannelConfig cfg
   return *channels_.back();
 }
 
-void Simulation::enable_profiling(std::uint64_t sample_period_cycles) {
-  sample_period_ = sample_period_cycles;
-}
-
 void Simulation::set_active_components(std::vector<std::string> names) {
   active_names_ = std::move(names);
 }
@@ -225,7 +221,7 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
     cycles_per_second();
   }
   if (obs_.trace) {
-    obs::start_tracing(obs_.trace_ring_capacity);
+    obs::start_tracing();
     for (Component* c : active) {
       std::uint32_t track = obs::intern_name(c->name());
       c->set_trace_track(track);
@@ -351,11 +347,7 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
 
   std::exception_ptr run_error;
   try {
-    for (Component* c : active) {
-      if (sample_period_ != 0) c->enable_sampling(sample_period_);
-      c->prepare(end);
-      if (sample_period_ != 0) c->record_sample_now();
-    }
+    for (Component* c : active) c->prepare(end);
 
     if (mode == RunMode::kThreaded) {
       ThreadedShared shared;
@@ -574,10 +566,10 @@ RunStats Simulation::collect_stats(RunMode mode, SimTime end, std::uint64_t wall
     cs.wall_cycles = c->wall_cycles() != 0 ? c->wall_cycles() : wall_cycles;
     cs.drain_cycles = c->drain_cycles();
     cs.batches = c->batches();
+    cs.sync_only_batches = c->sync_only_batches();
     cs.events = c->kernel().events_executed();
     cs.digest = c->digest();
     rs.digest.merge(cs.digest);
-    cs.samples = c->samples();
     for (auto& a : c->adapters()) {
       AdapterStats as;
       as.adapter = a->name();

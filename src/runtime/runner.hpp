@@ -62,10 +62,11 @@ struct ComponentStats {
   /// busy/wall utilization is not deflated for early finishers.
   std::uint64_t drain_cycles = 0;
   std::uint64_t batches = 0;
+  /// Batches that only emitted a due SYNC (Component::sync_only_batches).
+  std::uint64_t sync_only_batches = 0;
   std::uint64_t events = 0;
   EventDigest digest;  ///< fold of all messages this component received
   std::vector<AdapterStats> adapters;
-  std::vector<ProfSample> samples;
 };
 
 /// How a run ended.
@@ -150,10 +151,6 @@ class Simulation {
   /// with partial stats attached.
   void fail_run(std::exception_ptr e);
 
-  /// Enable periodic profiler sampling on every component (threaded runs);
-  /// a period of 0 turns it off.
-  void enable_profiling(std::uint64_t sample_period_cycles = 50'000'000);
-
   /// Threaded-mode hang watchdog window in wall milliseconds (0 disables).
   /// When every unfinished component thread is blocked and no horizon
   /// progress happens for a full window, the run fails with a
@@ -215,7 +212,6 @@ class Simulation {
   std::mutex fail_mu_;                     ///< guards live_shared_/pending_failure_
   ThreadedShared* live_shared_ = nullptr;  ///< set while a threaded run executes
   std::exception_ptr pending_failure_;     ///< fail_run() before the run started
-  std::uint64_t sample_period_ = 0;  ///< profiler sampling period; 0 = off
   std::uint64_t watchdog_ms_ = 500;
   obs::ObsConfig obs_;
   obs::Registry metrics_;

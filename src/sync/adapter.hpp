@@ -159,7 +159,9 @@ class Adapter {
   /// Null message while blocked: promises we send nothing before `promise`.
   /// No-op unless it would actually advance the peer's horizon.
   void send_null(SimTime promise) {
-    if (end_->can_promise(promise)) send_sync(promise);
+    if (!end_->can_promise(promise)) return;
+    send_sync(promise);
+    counters_.tx_nulls++;
   }
 
   /// Terminal message: peer's horizon becomes unbounded.

@@ -1,14 +1,32 @@
 #include "sync/channel.hpp"
 
+#include <stdexcept>
+
 #include "sync/digest.hpp"
 #include "sync/wait.hpp"
 #include "util/cycles.hpp"
 
 namespace splitsim::sync {
 
+namespace {
+
+/// MessageRing indexes slots through the mask `capacity - 1`: any other
+/// capacity silently overwrites unconsumed messages, and 0 reports every
+/// push as full. Checked in every build, not only where asserts are on.
+std::size_t checked_ring_capacity(const std::string& channel, std::size_t capacity) {
+  if (capacity < 2 || (capacity & (capacity - 1)) != 0) {
+    throw std::invalid_argument("channel '" + channel + "': ring_capacity " +
+                                std::to_string(capacity) + " is not a power of two >= 2");
+  }
+  return capacity;
+}
+
+}  // namespace
+
 Channel::Channel(std::string name, ChannelConfig cfg)
     : name_(std::move(name)), cfg_(cfg),
-      transport_(std::make_unique<InProcTransport>(cfg.ring_capacity)) {
+      transport_(
+          std::make_unique<InProcTransport>(checked_ring_capacity(name_, cfg.ring_capacity))) {
   end_a_.channel_ = this;
   end_a_.peer_ = &end_b_;
   end_a_.tx_spill_ = &a_spill_;

@@ -51,7 +51,8 @@ struct ChannelConfig {
   /// Max simulated-time gap between consecutive messages; 0 means "use the
   /// latency" (the largest value that still guarantees progress).
   SimTime sync_interval = 0;
-  /// Ring capacity in 256-byte slots (power of two).
+  /// Ring capacity in 256-byte slots: a power of two >= 2 (the Channel
+  /// constructor throws std::invalid_argument otherwise).
   std::size_t ring_capacity = 512;
 
   SimTime effective_sync_interval() const {

@@ -88,6 +88,20 @@ TEST(ProfilerTest, CoscheduledWaitDerivedFromLoadImbalance) {
   EXPECT_DOUBLE_EQ(heavy->adapters[0].wait_fraction, 0.0);
 }
 
+TEST(ProfilerTest, ThreadedWaitDividesTotalsByWallCycles) {
+  RunStats rs = make_synthetic_stats();
+  rs.mode = RunMode::kThreaded;
+  for (auto& cs : rs.components) {
+    cs.wall_cycles = 2'000'000;
+    cs.adapters[0].totals.sync_wait_cycles = 500'000;
+  }
+  auto rep = build_report(rs);
+  const ComponentReport* heavy = rep.find("heavy");
+  ASSERT_NE(heavy, nullptr);
+  EXPECT_DOUBLE_EQ(heavy->adapters[0].wait_fraction, 0.25);  // 500k of 2M wall
+  EXPECT_DOUBLE_EQ(heavy->waiting_fraction, 0.25);
+}
+
 TEST(ProfilerTest, ProjectionUsesBottleneckWhenCoresAbound) {
   auto rep = build_report(make_synthetic_stats());
   PerfModelConfig cfg;
@@ -199,30 +213,6 @@ TEST(ProfilerEdge, ZeroDurationRunStaysFinite) {
   expect_all_finite(rep);
   EXPECT_DOUBLE_EQ(rep.sim_speed, 0.0);
   EXPECT_DOUBLE_EQ(rep.components[0].load_cycles_per_simsec, 0.0);
-}
-
-TEST(ProfilerEdge, DropWindowLargerThanSamplesFallsBackToTotals) {
-  // drop_warmup + drop_cooldown >= samples: the sample window is invalid and
-  // the report must silently fall back to run totals.
-  RunStats rs = make_synthetic_stats();
-  rs.mode = RunMode::kThreaded;
-  for (auto& cs : rs.components) {
-    cs.wall_cycles = 2'000'000;
-    cs.adapters[0].totals.sync_wait_cycles = 500'000;
-    for (int i = 0; i < 3; ++i) {
-      ProfSample s;
-      s.tsc = static_cast<std::uint64_t>(i) * 1000;
-      s.sim_time = static_cast<SimTime>(i) * 1000;
-      s.adapters.push_back(cs.adapters[0].totals);
-      cs.samples.push_back(std::move(s));
-    }
-  }
-  auto rep = build_report(rs, /*drop_warmup=*/8, /*drop_cooldown=*/8);
-  expect_all_finite(rep);
-  const ComponentReport* heavy = rep.find("heavy");
-  ASSERT_NE(heavy, nullptr);
-  // Totals-based wait fraction: 500k waited of 2M wall.
-  EXPECT_DOUBLE_EQ(heavy->adapters[0].wait_fraction, 0.25);
 }
 
 TEST(ProfilerEdge, ZeroWallCycleThreadedComponentStaysFinite) {

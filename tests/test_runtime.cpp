@@ -203,6 +203,10 @@ TEST_P(RuntimeModes, IdleComponentsTerminate) {
   sim.add_component<Idle>("b", ch.end_b());
   auto stats = sim.run(from_us(1.0), GetParam());
   EXPECT_EQ(stats.sim_time, from_us(1.0));
+  for (const auto& c : stats.components) {
+    EXPECT_GT(c.batches, 0u) << c.name;
+    EXPECT_EQ(c.sync_only_batches, c.batches) << c.name << ": only SYNCs were due";
+  }
 }
 
 TEST_P(RuntimeModes, TrunkedComponents) {
@@ -346,4 +350,7 @@ TEST(RuntimeStats, CollectsPerComponentData) {
   EXPECT_EQ(pinger->adapters[0].totals.tx_msgs, 5u);
   EXPECT_EQ(pinger->adapters[0].totals.rx_msgs, 5u);
   EXPECT_GT(pinger->events, 0u);
+  // Pongs stop at 5 ns; the periodic SYNCs run on alone until 1 us.
+  EXPECT_GT(pinger->sync_only_batches, 0u);
+  EXPECT_LT(pinger->sync_only_batches, pinger->batches);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -255,6 +256,23 @@ TEST(ChannelTest, EffectiveSyncIntervalClampedToLatency) {
   EXPECT_EQ(cfg.effective_sync_interval(), 30u);
 }
 
+TEST(ChannelTest, RingCapacityMustBePowerOfTwoAtLeastTwo) {
+  // A non-power-of-two ring overwrites unconsumed messages, and capacity 0
+  // reports every push as full: both must be rejected in every build.
+  for (std::size_t cap : {0u, 3u, 1000u}) {
+    try {
+      Channel ch("bad", {.ring_capacity = cap});
+      ADD_FAILURE() << "ring_capacity " << cap << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'bad'"), std::string::npos) << what;
+      EXPECT_NE(what.find("ring_capacity " + std::to_string(cap)), std::string::npos) << what;
+    }
+  }
+  Channel ok("ok", {.ring_capacity = 2});
+  EXPECT_EQ(ok.config().ring_capacity, 2u);
+}
+
 TEST(AdapterTest, DeliverCountsAndDispatches) {
   Channel ch("c", {.latency = 100});
   Adapter tx("tx", ch.end_a());
@@ -295,8 +313,10 @@ TEST(AdapterTest, NullMessageOnlyWhenItAdvances) {
   a.send_sync(50);
   a.send_null(50);  // no-op: does not advance the promise
   EXPECT_EQ(a.counters().tx_syncs, 1u);
+  EXPECT_EQ(a.counters().tx_nulls, 0u);
   a.send_null(60);
-  EXPECT_EQ(a.counters().tx_syncs, 2u);
+  EXPECT_EQ(a.counters().tx_syncs, 2u);  // nulls stay part of the SYNC total
+  EXPECT_EQ(a.counters().tx_nulls, 1u);
 }
 
 TEST(TrunkTest, DemultiplexesSubchannels) {
