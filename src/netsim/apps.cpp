@@ -5,10 +5,7 @@ namespace splitsim::netsim {
 void BulkSenderApp::start(HostNode& host) {
   host.kernel().schedule_at(cfg_.start_at, [this, &host] {
     conn_ = &host.tcp_connect(cfg_.dst, cfg_.dst_port, cfg_.tcp);
-    conn_->on_send_complete = [this, &host] {
-      completed_ = true;
-      completion_time_ = host.now();
-    };
+    conn_->on_send_complete = [this] { completed_ = true; };
     conn_->app_send(cfg_.bytes);
   });
 }

@@ -12,7 +12,7 @@
 namespace splitsim::netsim {
 
 /// Opens a TCP connection at `start_at` and sends `bytes` (default:
-/// unlimited bulk), recording completion time if bounded.
+/// unlimited bulk).
 class BulkSenderApp : public App {
  public:
   struct Config {
@@ -30,13 +30,11 @@ class BulkSenderApp : public App {
   /// Valid after the connection opened.
   proto::TcpConnection* connection() { return conn_; }
   bool completed() const { return completed_; }
-  SimTime completion_time() const { return completion_time_; }
 
  private:
   Config cfg_;
   proto::TcpConnection* conn_ = nullptr;
   bool completed_ = false;
-  SimTime completion_time_ = 0;
 };
 
 /// Listens on a TCP port; counts delivered bytes, optionally only within a
@@ -55,7 +53,6 @@ class TcpSinkApp : public App {
   void start(HostNode& host) override;
 
   std::uint64_t total_bytes() const { return total_bytes_; }
-  std::uint64_t window_bytes() const { return window_bytes_; }
 
   /// Goodput within the measurement window, in bits per second.
   double window_goodput_bps() const;

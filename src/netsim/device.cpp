@@ -51,7 +51,6 @@ void Device::try_transmit() {
 
 void Device::deliver(proto::Packet&& p) {
   ++rx_packets_;
-  rx_bytes_ += p.wire_bytes();
   node_->handle_packet(std::move(p), index_);
 }
 

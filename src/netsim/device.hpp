@@ -27,7 +27,6 @@ class Device {
 
   Node& node() { return *node_; }
   std::size_t index() const { return index_; }
-  Bandwidth bandwidth() const { return bw_; }
   DropTailQueue& queue() { return queue_; }
 
   /// Wire both directions to a peer device in the same Network.
@@ -48,7 +47,6 @@ class Device {
   /// Time the in-flight frame (if any) finishes serializing. Together with
   /// the queue contents this makes egress waiting time exact for FIFO
   /// queues — used by PTP transparent clocks to compute residence time.
-  SimTime busy_until() const { return busy_until_; }
 
   /// Exact waiting time a packet enqueued at `now` will experience before
   /// its own serialization starts.
@@ -61,7 +59,6 @@ class Device {
   std::uint64_t tx_packets() const { return tx_packets_; }
   std::uint64_t tx_bytes() const { return tx_bytes_; }
   std::uint64_t rx_packets() const { return rx_packets_; }
-  std::uint64_t rx_bytes() const { return rx_bytes_; }
 
  private:
   void try_transmit();
@@ -80,7 +77,6 @@ class Device {
   std::uint64_t tx_packets_ = 0;
   std::uint64_t tx_bytes_ = 0;
   std::uint64_t rx_packets_ = 0;
-  std::uint64_t rx_bytes_ = 0;
 };
 
 }  // namespace splitsim::netsim

@@ -33,9 +33,6 @@ class HostNode : public Node, public proto::TcpEnv {
   // ---- raw IP --------------------------------------------------------
   /// Send via the host's (single) uplink device; fills in src fields.
   void ip_send(proto::Packet&& p);
-  /// Optional processing delay added before each transmitted packet leaves
-  /// the stack, to model host-side send cost even at protocol level.
-  void set_tx_delay(SimTime d) { tx_delay_ = d; }
 
   /// Protocol-level hosts have no CPU model: application "work" completes
   /// instantly. Mirrors hostsim::HostComponent::exec so application logic
@@ -47,7 +44,6 @@ class HostNode : public Node, public proto::TcpEnv {
   // ---- UDP -------------------------------------------------------------
   using UdpHandler = std::function<void(const proto::Packet&, SimTime now)>;
   void udp_bind(std::uint16_t port, UdpHandler handler);
-  void udp_unbind(std::uint16_t port);
   void udp_send(proto::Ipv4Addr dst, std::uint16_t dst_port, std::uint16_t src_port,
                 const proto::AppData& data, std::uint32_t extra_payload = 0);
 
@@ -86,7 +82,6 @@ class HostNode : public Node, public proto::TcpEnv {
   };
 
   proto::Ipv4Addr ip_;
-  SimTime tx_delay_ = 0;
   std::uint16_t next_ephemeral_ = 40000;
   std::map<std::uint16_t, UdpHandler> udp_ports_;
   std::map<std::uint16_t, Listener> tcp_listeners_;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
-#include "netsim/partition_adapter.hpp"
 #include "util/cycles.hpp"
 
 namespace splitsim::netsim {
@@ -20,8 +18,6 @@ std::string to_string(ParallelBackend b) {
   }
   return "?";
 }
-
-void burn_cycles(std::uint64_t cycles) { add_virtual_cycles(cycles); }
 
 namespace {
 
@@ -50,19 +46,12 @@ void add_overhead_ticker(Network& net, SimTime window, std::uint64_t fixed_cycle
       }
       std::uint64_t delta = msgs - last_msgs;
       last_msgs = msgs;
-      burn_cycles(fixed_cycles + per_msg_cycles * delta);
+      // Costs host time but no simulated time.
+      add_virtual_cycles(fixed_cycles + per_msg_cycles * delta);
       net->kernel().schedule_in(window, *this);
     }
   };
   net.kernel().schedule_at(window, Ticker{&net, window, fixed_cycles, per_msg_cycles});
-}
-
-/// Variant of `instantiate` that uses one dedicated channel per cut link
-/// (no trunking), as in OMNeT++'s per-link null-message scheme.
-Instance instantiate_untrunked(runtime::Simulation& sim, const Topology& topo,
-                               const std::vector<int>& partition, InstantiateOptions opts) {
-  opts.use_trunks = false;
-  return instantiate(sim, topo, partition, opts);
 }
 
 }  // namespace
@@ -74,9 +63,9 @@ Instance instantiate_parallel(runtime::Simulation& sim, const Topology& topo,
     return instantiate(sim, topo, partition, opts);
   }
 
-  Instance inst = backend == ParallelBackend::kOmnetNative
-                      ? instantiate_untrunked(sim, topo, partition, opts)
-                      : instantiate(sim, topo, partition, opts);
+  // OMNeT++'s per-link null-message scheme: one dedicated channel per cut link.
+  if (backend == ParallelBackend::kOmnetNative) opts.use_trunks = false;
+  Instance inst = instantiate(sim, topo, partition, opts);
   if (inst.nets.size() <= 1) return inst;  // no cross-partition overhead
 
   // Synchronization window: the minimum cut-link latency (the lookahead

@@ -47,8 +47,4 @@ Instance instantiate_parallel(runtime::Simulation& sim, const Topology& topo,
                               const std::vector<int>& partition, ParallelBackend backend,
                               InstantiateOptions opts = {}, NativeCosts costs = {});
 
-/// Burn approximately `cycles` host cycles (models synchronization overhead
-/// that costs wall-clock time but no simulated time).
-void burn_cycles(std::uint64_t cycles);
-
 }  // namespace splitsim::netsim

@@ -33,7 +33,6 @@ class Network : public runtime::Component {
   }
 
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
-  Node* find_node(const std::string& name);
 
   /// Fresh unique packet id (per network; combined with the network name
   /// this is globally unique enough for tracing).

@@ -9,13 +9,6 @@ namespace splitsim::netsim {
 
 Network::~Network() = default;
 
-Node* Network::find_node(const std::string& name) {
-  for (auto& n : nodes_) {
-    if (n->name() == name) return n.get();
-  }
-  return nullptr;
-}
-
 void Network::init() {
   for (auto& n : nodes_) n->start();
 }
@@ -78,13 +71,7 @@ void HostNode::ip_send(proto::Packet&& p) {
   if (devices_.empty()) throw std::logic_error("HostNode::ip_send: no device on " + name_);
   p.src_ip = ip_;
   p.id = net_->next_packet_id();
-  if (tx_delay_ > 0) {
-    kernel().schedule_in(tx_delay_, [this, p = std::move(p)]() mutable {
-      devices_[0]->enqueue(std::move(p));
-    });
-  } else {
-    devices_[0]->enqueue(std::move(p));
-  }
+  devices_[0]->enqueue(std::move(p));
 }
 
 void HostNode::udp_bind(std::uint16_t port, UdpHandler handler) {
@@ -92,8 +79,6 @@ void HostNode::udp_bind(std::uint16_t port, UdpHandler handler) {
   (void)it;
   if (!inserted) throw std::logic_error("HostNode::udp_bind: port in use");
 }
-
-void HostNode::udp_unbind(std::uint16_t port) { udp_ports_.erase(port); }
 
 void HostNode::udp_send(proto::Ipv4Addr dst, std::uint16_t dst_port, std::uint16_t src_port,
                         const proto::AppData& data, std::uint32_t extra_payload) {

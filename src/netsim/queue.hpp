@@ -34,7 +34,6 @@ class DropTailQueue {
   explicit DropTailQueue(QueueConfig cfg = {}) : cfg_(cfg), red_rng_(0x8ED, cfg.red_seed) {}
 
   const QueueConfig& config() const { return cfg_; }
-  void set_config(QueueConfig cfg) { cfg_ = cfg; }
 
   /// Enqueue (possibly marking CE); returns false if the packet was dropped.
   bool enqueue(proto::Packet&& p);
@@ -47,7 +46,6 @@ class DropTailQueue {
 
   std::uint64_t drops() const { return drops_; }
   std::uint64_t ecn_marks() const { return marks_; }
-  double red_avg() const { return red_avg_; }
 
  private:
   bool red_admit(proto::Packet& p);

@@ -2,18 +2,16 @@
 
 namespace splitsim::netsim {
 
-void SwitchNode::add_route(proto::Ipv4Addr dst, std::size_t port) {
-  auto& group = routes_[dst];
-  for (std::size_t p : group) {
-    if (p == port) return;
-  }
-  group.push_back(port);
+std::span<const std::uint32_t> SwitchNode::routes(proto::Ipv4Addr dst) const {
+  if (index_ == nullptr) return {};
+  auto it = index_->find(dst);
+  if (it == index_->end()) return {};
+  return {ports_.data() + first_[it->second], ports_.data() + first_[it->second + 1]};
 }
 
 std::size_t SwitchNode::lookup(const proto::Packet& p) const {
-  auto it = routes_.find(p.dst_ip);
-  if (it == routes_.end() || it->second.empty()) return SIZE_MAX;
-  const auto& group = it->second;
+  auto group = routes(p.dst_ip);
+  if (group.empty()) return SIZE_MAX;
   if (group.size() == 1) return group[0];
   // Deterministic flow hash (splitmix64 finalizer for full avalanche):
   // same 5-tuple always takes the same path, so TCP flows never reorder.

@@ -4,7 +4,9 @@
 // transparent-clock case studies.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -26,13 +28,25 @@ class SwitchApp {
   virtual bool process(SwitchNode& sw, proto::Packet& p, std::size_t in_port) = 0;
 };
 
+/// Routable IP -> dense host id; one per topology instance, shared
+/// read-only by all of its switches.
+using HostIndex = std::unordered_map<proto::Ipv4Addr, std::uint32_t>;
+
 class SwitchNode : public Node {
  public:
   using Node::Node;
 
-  /// Install a next-hop port for a destination IP. Multiple calls with the
-  /// same destination accumulate an ECMP group.
-  void add_route(proto::Ipv4Addr dst, std::size_t port);
+  /// Install the routing table (CSR): the ECMP group towards host id `h`
+  /// is `ports[first[h] .. first[h + 1])`.
+  void set_routes(std::shared_ptr<const HostIndex> index, std::vector<std::uint32_t> first,
+                  std::vector<std::uint32_t> ports) {
+    index_ = std::move(index);
+    first_ = std::move(first);
+    ports_ = std::move(ports);
+  }
+
+  /// The ECMP group towards `dst`; empty when unroutable.
+  std::span<const std::uint32_t> routes(proto::Ipv4Addr dst) const;
 
   void set_app(std::unique_ptr<SwitchApp> app) { app_ = std::move(app); }
   SwitchApp* app() { return app_.get(); }
@@ -48,7 +62,9 @@ class SwitchNode : public Node {
   std::uint64_t unroutable_drops() const { return unroutable_; }
 
  private:
-  std::unordered_map<proto::Ipv4Addr, std::vector<std::size_t>> routes_;
+  std::shared_ptr<const HostIndex> index_;
+  std::vector<std::uint32_t> first_;
+  std::vector<std::uint32_t> ports_;
   std::unique_ptr<SwitchApp> app_;
   std::uint64_t unroutable_ = 0;
 };

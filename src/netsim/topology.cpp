@@ -1,8 +1,9 @@
 #include "netsim/topology.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <array>
 #include <map>
+#include <memory>
 #include <stdexcept>
 
 #include "netsim/partition_adapter.hpp"
@@ -35,13 +36,6 @@ int Topology::add_link(int a, int b, Bandwidth bw, SimTime latency, QueueConfig 
   return static_cast<int>(links_.size()) - 1;
 }
 
-int Topology::node_index(const std::string& name) const {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].name == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 std::vector<std::vector<std::pair<int, int>>> Topology::adjacency() const {
   std::vector<std::vector<std::pair<int, int>>> adj(nodes_.size());
   for (std::size_t li = 0; li < links_.size(); ++li) {
@@ -70,6 +64,23 @@ Instance instantiate(runtime::Simulation& sim, const Topology& topo,
     if (!nodes[i].is_external()) nparts = std::max(nparts, part[i] + 1);
   }
 
+  // Dense host ids for the routable nodes (non-switches with an IP), checked
+  // before anything is added to `sim`.
+  auto index = std::make_shared<HostIndex>();
+  std::vector<int> host_node;  // host id -> topology node
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    if (nodes[n].is_switch() || nodes[n].ip == 0) continue;
+    auto [it, fresh] = index->emplace(nodes[n].ip, static_cast<std::uint32_t>(host_node.size()));
+    if (!fresh) {
+      proto::Ipv4Addr a = nodes[n].ip;
+      throw std::invalid_argument(
+          "instantiate: hosts " + nodes[host_node[it->second]].name + " and " + nodes[n].name +
+          " share IP " + std::to_string(a >> 24) + "." + std::to_string((a >> 16) & 0xff) + "." +
+          std::to_string((a >> 8) & 0xff) + "." + std::to_string(a & 0xff));
+    }
+    host_node.push_back(static_cast<int>(n));
+  }
+
   Instance inst;
   for (int p = 0; p < nparts; ++p) {
     std::string name = nparts == 1 ? opts.prefix : opts.prefix + ".p" + std::to_string(p);
@@ -81,32 +92,18 @@ Instance instantiate(runtime::Simulation& sim, const Topology& topo,
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const auto& spec = nodes[i];
     Network& net = *inst.nets[part[i]];
-    switch (spec.kind) {
-      case TopoNodeSpec::Kind::kHost: {
-        auto& h = net.add_node<HostNode>(spec.name, spec.ip);
-        inst.hosts[spec.name] = &h;
-        impl[i] = &h;
-        break;
-      }
-      case TopoNodeSpec::Kind::kSwitch: {
-        auto& s = net.add_node<SwitchNode>(spec.name);
-        inst.switches[spec.name] = &s;
-        impl[i] = &s;
-        break;
-      }
-      case TopoNodeSpec::Kind::kExternalHost:
-        break;  // realized as a channel below
+    if (spec.is_switch()) {
+      impl[i] = inst.switches[spec.name] = &net.add_node<SwitchNode>(spec.name);
+    } else if (!spec.is_external()) {  // external hosts are realized as channels below
+      impl[i] = inst.hosts[spec.name] = &net.add_node<HostNode>(spec.name, spec.ip);
     }
   }
 
   // Pass 1: create devices in link order (device index on a node == order of
   // its links), wire internal and external links, collect cut links.
-  struct CutLink {
-    int link;
-    int pa, pb;  // partitions, pa < pb by convention of first encounter
-  };
-  std::vector<std::map<int, std::size_t>> dev_of(nodes.size());  // node -> (link -> dev)
-  std::vector<CutLink> cuts;
+  // dev_at[link] = device index at ends (a, b); SIZE_MAX at an external host.
+  std::vector<std::array<std::size_t, 2>> dev_at(links.size(), {SIZE_MAX, SIZE_MAX});
+  std::vector<int> cuts;
 
   for (std::size_t li = 0; li < links.size(); ++li) {
     const auto& l = links[li];
@@ -124,7 +121,7 @@ Instance instantiate(runtime::Simulation& sim, const Topology& topo,
       }
       auto* sw = static_cast<SwitchNode*>(impl[in]);
       Device& dev = sw->add_device(l.bw, l.queue);
-      dev_of[in][static_cast<int>(li)] = dev.index();
+      dev_at[li][in == l.a ? 0 : 1] = dev.index();
       sync::ChannelConfig ccfg;
       ccfg.latency = l.latency;
       ccfg.ring_capacity = opts.ring_capacity;
@@ -139,28 +136,31 @@ Instance instantiate(runtime::Simulation& sim, const Topology& topo,
 
     Device& da = impl[l.a]->add_device(l.bw, l.queue);
     Device& db = impl[l.b]->add_device(l.bw, l.queue);
-    dev_of[l.a][static_cast<int>(li)] = da.index();
-    dev_of[l.b][static_cast<int>(li)] = db.index();
+    dev_at[li] = {da.index(), db.index()};
     if (part[l.a] == part[l.b]) {
       da.connect_to(db, l.latency);
     } else {
-      cuts.push_back({static_cast<int>(li), part[l.a], part[l.b]});
+      cuts.push_back(static_cast<int>(li));
     }
   }
+
+  auto cut_channel = [&](const std::string& name, SimTime latency) -> sync::Channel& {
+    sync::ChannelConfig ccfg;
+    ccfg.latency = latency > 0 ? latency : 1;  // zero-lookahead channels cannot synchronize
+    ccfg.sync_interval = opts.cut_sync_interval;
+    ccfg.ring_capacity = opts.ring_capacity;
+    return sim.add_channel(name, ccfg);
+  };
 
   // Pass 2a (untrunked mode): one synchronized channel per cut link.
   if (!opts.use_trunks) {
     int idx = 0;
-    for (const auto& c : cuts) {
-      const auto& l = links[c.link];
-      sync::ChannelConfig ccfg;
-      ccfg.latency = l.latency > 0 ? l.latency : 1;
-      ccfg.sync_interval = opts.cut_sync_interval;
-      ccfg.ring_capacity = opts.ring_capacity;
+    for (int c : cuts) {
+      const auto& l = links[c];
       std::string cname = opts.prefix + ".cut." + std::to_string(idx++);
-      auto& ch = sim.add_channel(cname, ccfg);
-      Device& da = impl[l.a]->dev(dev_of[l.a][c.link]);
-      Device& db = impl[l.b]->dev(dev_of[l.b][c.link]);
+      auto& ch = cut_channel(cname, l.latency);
+      Device& da = impl[l.a]->dev(dev_at[c][0]);
+      Device& db = impl[l.b]->dev(dev_at[c][1]);
       auto& ad_a = inst.nets[part[l.a]]->add_adapter(cname, ch.end_a());
       auto& ad_b = inst.nets[part[l.b]]->add_adapter(cname, ch.end_b());
       attach_device_adapter(da, ad_a);
@@ -170,31 +170,26 @@ Instance instantiate(runtime::Simulation& sim, const Topology& topo,
   }
 
   // Pass 2: one trunked channel per partition pair.
-  std::map<std::pair<int, int>, std::vector<CutLink>> groups;
-  for (const auto& c : cuts) {
-    auto key = std::minmax(c.pa, c.pb);
-    groups[{key.first, key.second}].push_back(c);
+  std::map<std::pair<int, int>, std::vector<int>> groups;
+  for (int c : cuts) {
+    groups[std::minmax(part[links[c].a], part[links[c].b])].push_back(c);
   }
   for (auto& [key, group] : groups) {
     SimTime min_lat = kSimTimeMax;
-    for (const auto& c : group) min_lat = std::min(min_lat, links[c.link].latency);
-    if (min_lat == 0) min_lat = 1;  // zero-lookahead channels cannot synchronize
-    sync::ChannelConfig ccfg;
-    ccfg.latency = min_lat;
-    ccfg.sync_interval = opts.cut_sync_interval;
-    ccfg.ring_capacity = opts.ring_capacity;
+    for (int c : group) min_lat = std::min(min_lat, links[c].latency);
+    if (min_lat == 0) min_lat = 1;  // the lookahead cut_channel will use
     std::string cname = opts.prefix + ".trunk." + std::to_string(key.first) + "-" +
                         std::to_string(key.second);
-    auto& ch = sim.add_channel(cname, ccfg);
+    auto& ch = cut_channel(cname, min_lat);
     auto& trunk_a = inst.nets[key.first]->add_trunk(cname, ch.end_a());
     auto& trunk_b = inst.nets[key.second]->add_trunk(cname, ch.end_b());
     std::uint16_t sub = 0;
-    for (const auto& c : group) {
-      const auto& l = links[c.link];
+    for (int c : group) {
+      const auto& l = links[c];
       SimTime extra = l.latency > min_lat ? l.latency - min_lat : 0;
       // Two sub-channels per cut link, one per direction.
-      Device& da = impl[l.a]->dev(dev_of[l.a][c.link]);
-      Device& db = impl[l.b]->dev(dev_of[l.b][c.link]);
+      Device& da = impl[l.a]->dev(dev_at[c][0]);
+      Device& db = impl[l.b]->dev(dev_at[c][1]);
       sync::TrunkAdapter& ta = part[l.a] == key.first ? trunk_a : trunk_b;
       sync::TrunkAdapter& tb = part[l.b] == key.first ? trunk_a : trunk_b;
       attach_device_trunk(da, ta, sub, extra);
@@ -203,36 +198,73 @@ Instance instantiate(runtime::Simulation& sim, const Topology& topo,
     }
   }
 
-  // Routing: BFS from every host (internal and external) over the global
-  // graph; each switch routes towards any shortest-path neighbor (ECMP).
+  // Routing. Hosts never forward, so hosts linked to the same switches (the
+  // same attachment set) are equally far from every switch: one switch-only
+  // BFS per distinct set, from distance 1 at the set, serves them all.
   auto adj = topo.adjacency();
-  std::vector<int> dist(nodes.size());
-  for (std::size_t dst = 0; dst < nodes.size(); ++dst) {
-    if (nodes[dst].is_switch() || nodes[dst].ip == 0) continue;
-    std::fill(dist.begin(), dist.end(), -1);
-    std::deque<int> queue;
-    dist[dst] = 0;
-    queue.push_back(static_cast<int>(dst));
-    while (!queue.empty()) {
-      int n = queue.front();
-      queue.pop_front();
-      for (auto [li, peer] : adj[n]) {
-        (void)li;
-        if (dist[peer] < 0) {
-          dist[peer] = dist[n] + 1;
+  std::vector<int> sw_pos(nodes.size(), -1);  // node -> switch position
+  std::size_t nsw = 0;
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    if (nodes[n].is_switch()) sw_pos[n] = static_cast<int>(nsw++);
+  }
+  std::map<std::vector<int>, std::size_t> set_ids;
+  std::vector<std::size_t> set_of(host_node.size());
+  std::vector<int> dist;  // [set * nsw + switch position], -1 = unreachable
+  for (std::size_t h = 0; h < host_node.size(); ++h) {
+    std::vector<int> queue;
+    for (auto [li, peer] : adj[host_node[h]]) {
+      if (sw_pos[peer] >= 0) queue.push_back(peer);
+    }
+    std::sort(queue.begin(), queue.end());
+    queue.erase(std::unique(queue.begin(), queue.end()), queue.end());
+    auto [it, fresh] = set_ids.emplace(queue, set_ids.size());
+    set_of[h] = it->second;
+    if (!fresh) continue;
+    dist.resize(dist.size() + nsw, -1);
+    int* d = dist.data() + it->second * nsw;
+    for (int sw : queue) d[sw_pos[sw]] = 1;
+    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+      for (auto [li, peer] : adj[queue[qi]]) {
+        if (sw_pos[peer] >= 0 && d[sw_pos[peer]] < 0) {
+          d[sw_pos[peer]] = d[sw_pos[queue[qi]]] + 1;
           queue.push_back(peer);
         }
       }
     }
-    for (std::size_t s = 0; s < nodes.size(); ++s) {
-      if (!nodes[s].is_switch() || dist[s] < 0) continue;
-      auto* sw = static_cast<SwitchNode*>(impl[s]);
+  }
+
+  // The ECMP group at switch s towards host h, in adjacency (= link) order:
+  // s's ports to h if s links to h, else s's switch neighbours one hop
+  // closer, computed once per attachment set.
+  auto port_at = [&](int li, int node) {
+    return static_cast<std::uint32_t>(dev_at[li][links[li].a == node ? 0 : 1]);
+  };
+  std::vector<std::vector<std::uint32_t>> via(set_ids.size());
+  for (int s = 0; s < static_cast<int>(nodes.size()); ++s) {
+    const int p = sw_pos[s];
+    if (p < 0) continue;
+    for (std::size_t k = 0; k < via.size(); ++k) {
+      const int* d = dist.data() + k * nsw;
+      via[k].clear();
       for (auto [li, peer] : adj[s]) {
-        if (dist[peer] == dist[s] - 1) {
-          sw->add_route(nodes[dst].ip, dev_of[s][li]);
+        if (d[p] > 1 && sw_pos[peer] >= 0 && d[sw_pos[peer]] == d[p] - 1) {
+          via[k].push_back(port_at(li, s));
         }
       }
     }
+    std::vector<std::uint32_t> first{0};
+    std::vector<std::uint32_t> ports;
+    for (std::size_t h = 0; h < host_node.size(); ++h) {
+      if (dist[set_of[h] * nsw + p] == 1) {
+        for (auto [li, peer] : adj[host_node[h]]) {
+          if (peer == s) ports.push_back(port_at(li, s));
+        }
+      } else {
+        ports.insert(ports.end(), via[set_of[h]].begin(), via[set_of[h]].end());
+      }
+      first.push_back(static_cast<std::uint32_t>(ports.size()));
+    }
+    static_cast<SwitchNode*>(impl[s])->set_routes(index, std::move(first), std::move(ports));
   }
 
   return inst;

@@ -49,7 +49,6 @@ class Topology {
 
   const std::vector<TopoNodeSpec>& nodes() const { return nodes_; }
   const std::vector<TopoLinkSpec>& links() const { return links_; }
-  int node_index(const std::string& name) const;
 
   /// adjacency()[n] = list of (link index, peer node index).
   std::vector<std::vector<std::pair<int, int>>> adjacency() const;
@@ -95,7 +94,8 @@ struct InstantiateOptions {
 /// Build netsim components inside `sim`. `partition[node]` assigns each
 /// topology node to a partition (empty = everything in one Network).
 /// Cut links become trunked channels (one per partition pair); links to
-/// external hosts become dedicated Ethernet channels.
+/// external hosts become dedicated Ethernet channels. Throws
+/// std::invalid_argument if two hosts share an IP.
 Instance instantiate(runtime::Simulation& sim, const Topology& topo,
                      const std::vector<int>& partition = {}, InstantiateOptions opts = {});
 

@@ -479,3 +479,164 @@ TEST(NetsimTest, OnOffUdpRate) {
   EXPECT_GE(sink.packets() + 2, src.packets_sent());
   EXPECT_LE(sink.packets(), src.packets_sent());
 }
+
+TEST(NetsimTest, MultiHomedHostIsNotTransit) {
+  // Host m links s1 and s2, one hop shorter than the switch path
+  // s1-s3-s4-s2. Hosts drop packets not addressed to them, so a-to-d
+  // traffic must take the switch path.
+  Simulation sim;
+  Topology topo;
+  int s1 = topo.add_switch("s1");
+  int s2 = topo.add_switch("s2");
+  int s3 = topo.add_switch("s3");
+  int s4 = topo.add_switch("s4");
+  int ha = topo.add_host("a", proto::ip(10, 0, 0, 1));
+  int hd = topo.add_host("d", proto::ip(10, 0, 0, 2));
+  int hm = topo.add_host("m", proto::ip(10, 0, 0, 3));
+  auto bw = Bandwidth::gbps(10);
+  topo.add_link(ha, s1, bw, from_us(1.0));
+  topo.add_link(hd, s2, bw, from_us(1.0));
+  topo.add_link(hm, s1, bw, from_us(1.0));
+  topo.add_link(hm, s2, bw, from_us(1.0));
+  topo.add_link(s1, s3, bw, from_us(1.0));
+  topo.add_link(s3, s4, bw, from_us(1.0));
+  topo.add_link(s4, s2, bw, from_us(1.0));
+  auto inst = instantiate(sim, topo);
+  auto* a = inst.hosts["a"];
+  auto* m = inst.hosts["m"];
+  int got = 0;
+  inst.hosts["d"]->udp_bind(7, [&](const proto::Packet&, SimTime) { ++got; });
+  a->kernel().schedule_at(0, [&] {
+    proto::AppData d;
+    a->udp_send(proto::ip(10, 0, 0, 2), 7, 1, d);
+  });
+  sim.run(from_ms(1.0), RunMode::kCoscheduled);
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(m->dev(0).rx_packets() + m->dev(1).rx_packets(), 0u);
+}
+
+TEST(NetsimTest, RepeatedIpRejected) {
+  Simulation sim;
+  Topology topo;
+  int sw = topo.add_switch("sw");
+  topo.add_link(topo.add_host("first", proto::ip(10, 0, 0, 7)), sw, Bandwidth::gbps(10), 1);
+  topo.add_link(topo.add_external_host("second", proto::ip(10, 0, 0, 7)), sw,
+                Bandwidth::gbps(10), 1);
+  try {
+    instantiate(sim, topo);
+    FAIL() << "a repeated IP must be rejected";
+  } catch (const std::invalid_argument& e) {
+    std::string what = e.what();
+    EXPECT_NE(what.find("first"), std::string::npos) << what;
+    EXPECT_NE(what.find("second"), std::string::npos) << what;
+    EXPECT_NE(what.find("10.0.0.7"), std::string::npos) << what;
+  }
+}
+
+namespace {
+
+/// The routing spec: per routable host, a BFS that expands the host and
+/// then switches only (other hosts never forward). A switch's ECMP group is
+/// its neighbours one hop closer, as device indices in adjacency order
+/// (a switch's device index is its link's position in its adjacency).
+std::vector<std::size_t> spec_routes(const Topology& topo, int sw, int dst) {
+  const auto& nodes = topo.nodes();
+  auto adj = topo.adjacency();
+  std::vector<int> dist(nodes.size(), -1);
+  std::vector<int> queue{dst};
+  dist[dst] = 0;
+  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+    for (auto [li, peer] : adj[queue[qi]]) {
+      if (nodes[peer].is_switch() && dist[peer] < 0) {
+        dist[peer] = dist[queue[qi]] + 1;
+        queue.push_back(peer);
+      }
+    }
+  }
+  std::vector<std::size_t> group;
+  for (std::size_t i = 0; dist[sw] > 0 && i < adj[sw].size(); ++i) {
+    if (dist[adj[sw][i].second] == dist[sw] - 1) group.push_back(i);
+  }
+  return group;
+}
+
+/// A switch with one host and no link to the rest of the topology.
+void add_island(Topology& topo) {
+  int sw = topo.add_switch("island");
+  topo.add_link(topo.add_host("lonely", proto::ip(10, 99, 0, 1)), sw, Bandwidth::gbps(10), 1);
+}
+
+/// Every switch its own partition; hosts follow the switch they link to
+/// (a rack split on the datacenter).
+std::vector<int> switch_split(const Topology& topo) {
+  const auto& nodes = topo.nodes();
+  std::vector<int> part(nodes.size(), 0);
+  int next = 0;
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    if (nodes[n].is_switch()) part[n] = next++;
+  }
+  for (const auto& l : topo.links()) {
+    if (!nodes[l.a].is_switch()) part[l.a] = part[l.b];
+    if (!nodes[l.b].is_switch()) part[l.b] = part[l.a];
+  }
+  return part;
+}
+
+void expect_spec_routes(const Topology& topo) {
+  const auto& nodes = topo.nodes();
+  for (int split = 0; split < 3; ++split) {
+    Simulation sim;
+    InstantiateOptions opts;
+    opts.use_trunks = split != 2;
+    auto inst = instantiate(sim, topo, split == 0 ? std::vector<int>{} : switch_split(topo), opts);
+    for (std::size_t s = 0; s < nodes.size(); ++s) {
+      if (!nodes[s].is_switch()) continue;
+      for (std::size_t h = 0; h < nodes.size(); ++h) {
+        if (nodes[h].is_switch()) continue;
+        auto got = inst.switches[nodes[s].name]->routes(nodes[h].ip);
+        EXPECT_EQ(std::vector<std::size_t>(got.begin(), got.end()),
+                  spec_routes(topo, static_cast<int>(s), static_cast<int>(h)))
+            << "split " << split << ", switch " << nodes[s].name << ", host " << nodes[h].name;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(NetsimTest, RoutesMatchPerHostBfs) {
+  Datacenter dc = make_datacenter(2, 3, 4);
+  datacenter_add_external(dc, 0, 1, "ext0");
+  datacenter_add_external(dc, 1, 2, "ext1");
+  add_island(dc.topo);
+  expect_spec_routes(dc.topo);
+
+  FatTree ft = make_fattree(4, Bandwidth::gbps(10), Bandwidth::gbps(10), from_us(1.0));
+  add_island(ft.topo);
+  expect_spec_routes(ft.topo);
+
+  Dumbbell db = make_dumbbell(3, Bandwidth::gbps(10), Bandwidth::gbps(1), from_us(1.0),
+                              from_us(5.0), {}, 1);
+  add_island(db.topo);
+  expect_spec_routes(db.topo);
+}
+
+TEST(NetsimTest, UnreachableIslandDropsAtItsSwitch) {
+  Simulation sim;
+  Datacenter dc = make_datacenter(1, 1, 2);
+  add_island(dc.topo);
+  auto inst = instantiate(sim, dc.topo);
+  auto* island = inst.switches["island"];
+  proto::Packet p;
+  p.dst_ip = datacenter_host_ip(0, 0, 0);
+  EXPECT_EQ(island->lookup(p), SIZE_MAX);
+  p.dst_ip = proto::ip(10, 99, 0, 1);
+  EXPECT_EQ(inst.switches["tor0.0"]->lookup(p), SIZE_MAX);
+  auto* lonely = inst.hosts["lonely"];
+  lonely->kernel().schedule_at(0, [&] {
+    proto::AppData d;
+    lonely->udp_send(datacenter_host_ip(0, 0, 0), 7, 1, d);
+  });
+  sim.run(from_us(100.0), RunMode::kCoscheduled);
+  EXPECT_EQ(island->unroutable_drops(), 1u);
+}
