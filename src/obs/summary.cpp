@@ -119,7 +119,6 @@ std::string summary_json(const SummaryInputs& in) {
       out += ",\"sync_only_batches\":" + std::to_string(c.sync_only_batches);
       out += ",\"busy_cycles\":" + std::to_string(c.busy_cycles);
       out += ",\"wall_cycles\":" + std::to_string(c.wall_cycles);
-      out += ",\"drain_cycles\":" + std::to_string(c.drain_cycles);
       out += ",\"adapters\":[";
       bool firsta = true;
       for (const runtime::AdapterStats& a : c.adapters) {
@@ -375,7 +374,6 @@ runtime::RunStats parse_run(const JsonValue& run) {
     cs.sync_only_batches = read_u64(c, "sync_only_batches");
     cs.busy_cycles = read_u64(c, "busy_cycles");
     cs.wall_cycles = read_u64(c, "wall_cycles");
-    cs.drain_cycles = read_u64(c, "drain_cycles");
     for (const JsonValue& a : read_array(c, "adapters")) {
       runtime::AdapterStats as;
       as.adapter = read_str(a, "adapter");

@@ -45,7 +45,6 @@ struct Recorder {
     names[0] = "?";
     names[kNameAdvance] = "advance";
     names[kNameSyncWait] = "sync_wait";
-    names[kNameParked] = "parked";
     names[kNameDeliver] = "deliver";
     names[kNameMsg] = "msg";
     names[kNameProgress] = "progress";

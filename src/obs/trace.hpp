@@ -59,8 +59,7 @@ static_assert(sizeof(TraceRecord) == 48, "trace records are fixed 48-byte binary
 /// out ids starting at kNameFirstDynamic).
 enum : std::uint32_t {
   kNameAdvance = 1,   ///< one component batch (Component::advance)
-  kNameSyncWait = 2,  ///< threaded runner blocked on a peer horizon
-  kNameParked = 3,    ///< pooled runner: component parked waiting for work
+  kNameSyncWait = 2,  ///< component blocked on a peer horizon (wait_on = peer)
   kNameDeliver = 4,   ///< adapter rx batch (deliver_all)
   kNameMsg = 5,       ///< channel data message (flow arrows)
   kNameProgress = 6,  ///< reporter progress tick

@@ -2,10 +2,8 @@
 
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "runtime/error.hpp"
-#include "sync/wait.hpp"
 #include "util/cycles.hpp"
 
 namespace splitsim::runtime {
@@ -158,111 +156,6 @@ void Component::inject_throw_at(SimTime at, std::string message) {
 void Component::inject_stall(SimTime at, std::uint64_t batches) {
   fault_stall_at_ = at;
   fault_stall_batches_ = batches;
-}
-
-void Component::run_thread(ThreadedShared& shared) {
-  std::uint64_t t0 = rdcycles();
-  Poll p = poll();
-  while (!shared.abort.load(std::memory_order_relaxed)) {
-    if (p.done(end_)) break;
-    if (p.next <= p.bound) {
-      std::uint64_t b0 = rdcycles();
-      advance(p);
-      add_busy_cycles(rdcycles() - b0);
-      p = poll();
-      continue;
-    }
-    // Blocked: promise exactly the polled bound to all peers (null
-    // messages), then wait with the adaptive spin/yield/park policy.
-    // Re-promise whenever a fresh poll shows the bound grew, so chains of
-    // waiting components keep making progress (classic null-message
-    // iteration).
-    SimTime promised = p.bound;
-    send_nulls(p);
-    std::uint64_t w0 = rdcycles();
-    // Attribute the wait to the adapter limiting the bound.
-    sync::Adapter* limiting = p.limiter;
-    sync::WaitState wait;
-    // Watchdog bookkeeping: while blocked, this thread doubles as a
-    // deadlock detector (see ThreadedShared). The blocked count is
-    // maintained strictly around this loop; the throw paths inside either
-    // restore it first (watchdog) or only fire when the run is already
-    // aborting (AbortedError out of send_nulls), where the count is moot.
-    shared.blocked.fetch_add(1, std::memory_order_acq_rel);
-    std::uint64_t watch_epoch = shared.progress_epoch.load(std::memory_order_acquire);
-    std::uint64_t watch_deadline =
-        shared.watchdog_cycles != 0 ? rdcycles() + shared.watchdog_cycles : 0;
-    while (!shared.abort.load(std::memory_order_relaxed)) {
-      p = poll();
-      if (p.next <= p.bound || p.done(end_)) break;
-      if (p.bound > promised) {
-        promised = p.bound;
-        send_nulls(p);
-        wait.reset();  // peer progressed; expect more soon, spin again
-        shared.progress_epoch.fetch_add(1, std::memory_order_acq_rel);
-        if (watch_deadline != 0) {
-          watch_epoch = shared.progress_epoch.load(std::memory_order_acquire);
-          watch_deadline = rdcycles() + shared.watchdog_cycles;
-        }
-      }
-      wait.step();
-      if (watch_deadline != 0 && rdcycles() >= watch_deadline) {
-        std::uint64_t e = shared.progress_epoch.load(std::memory_order_acquire);
-        if (e != watch_epoch || shared.blocked.load(std::memory_order_acquire) <
-                                    shared.remaining.load(std::memory_order_acquire)) {
-          // Someone progressed (or is currently runnable): re-arm.
-          watch_epoch = e;
-          watch_deadline = rdcycles() + shared.watchdog_cycles;
-        } else {
-          // Every unfinished thread has been blocked with no promise growth
-          // for a full watchdog window: conservative synchronization cannot
-          // recover from this state — fail loudly instead of spinning.
-          shared.blocked.fetch_sub(1, std::memory_order_acq_rel);
-          throw deadlock_error(*this, p,
-                               "threaded watchdog: no runnable component and no horizon "
-                               "progress for a full watchdog window");
-        }
-      }
-    }
-    shared.blocked.fetch_sub(1, std::memory_order_acq_rel);
-    shared.progress_epoch.fetch_add(1, std::memory_order_acq_rel);
-    std::uint64_t w1 = rdcycles();
-    if (limiting != nullptr) limiting->add_wait_cycles(w1 - w0);
-    if (obs::tracing_enabled()) {
-      obs::record_span(obs::kNameSyncWait, trace_track_, promised, w0, w1,
-                       limiting != nullptr ? limiting->peer_trace_track() : 0);
-    }
-    maybe_observe();
-  }
-  // On abort, skip finish(): it finalizes the model and sends FINs, both of
-  // which may touch state a failed peer left inconsistent (and FIN sends
-  // can block). The failed run's partial stats use whatever was reached.
-  if (!shared.abort.load(std::memory_order_relaxed)) finish();
-  // Wall cycles end at finish: the post-finish drain phase below is idle
-  // time caused by peers still running, not utilization of this component.
-  wall_cycles_ = rdcycles() - t0;
-  shared.progress_epoch.fetch_add(1, std::memory_order_acq_rel);
-  shared.remaining.fetch_sub(1, std::memory_order_acq_rel);
-  // Drain phase: keep consuming (and discarding) incoming messages so that
-  // still-running peers never block on a full ring towards us. Peers in
-  // other processes are not counted in `remaining`: wait for their FIN
-  // too, or this process could exit and close a transport they still
-  // write to. Abort-aware: a failed run must not leave draining threads
-  // spinning behind it (a dead remote peer trips the abort flag through
-  // the process runner's monitor).
-  auto peers_done = [this] {
-    for (auto& a : adapters_) {
-      if (!a->peer_component().empty() && !a->end().fin_received()) return false;
-    }
-    return true;
-  };
-  std::uint64_t d0 = rdcycles();
-  while ((shared.remaining.load(std::memory_order_acquire) > 0 || !peers_done()) &&
-         !shared.abort.load(std::memory_order_relaxed)) {
-    for (auto& a : adapters_) a->end().discard_all();
-    std::this_thread::yield();
-  }
-  drain_cycles_ = rdcycles() - d0;
 }
 
 void Component::maybe_observe() {

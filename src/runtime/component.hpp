@@ -1,27 +1,23 @@
 // A SplitSim component simulator: one DES kernel plus the SplitSim adapters
 // connecting it to peer components.
 //
-// Components expose a stepping interface used by all three execution modes,
-// which share one runnability rule built on poll() (see Poll):
-//  * Threaded mode runs each component on its own thread; blocked
-//    components spin-poll their adapters (counting wait cycles for the
-//    profiler) and exchange null messages, exactly like SimBricks processes.
-//  * Coscheduled (single-thread) mode interleaves all components on one
-//    thread, always advancing the component with the globally earliest next
-//    action, kept in an indexed min-heap keyed on Poll::next that is
-//    re-keyed only for the component that ran and the peers it sent data
-//    to; with conservative synchronization this yields the same simulation
-//    results and is how we measure per-component compute load on machines
-//    with fewer cores than components.
-//  * Pooled mode multiplexes components over a worker pool; blocked
-//    components promise their bound and park until a peer progresses.
+// Components expose a stepping interface used by both runners, which share
+// one runnability rule built on poll() (see Poll):
+//  * The coscheduled runner (single thread) interleaves all components,
+//    always advancing the component with the globally earliest next action,
+//    kept in an indexed min-heap keyed on Poll::next that is re-keyed only
+//    for the component that ran and the peers it sent data to; with
+//    conservative synchronization this yields the same simulation results
+//    and is how we measure per-component compute load on machines with
+//    fewer cores than components.
+//  * The worker pool (runtime/pooled.hpp) runs pooled and threaded mode:
+//    blocked components promise their bound and park until a peer
+//    progresses; with one worker each (threaded) they spin-poll first.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -35,45 +31,6 @@
 #include "util/time.hpp"
 
 namespace splitsim::runtime {
-
-/// State shared by all component threads of one threaded run: termination
-/// accounting, first-error capture, and the inputs of the hang watchdog.
-///
-/// Watchdog model: `blocked` counts threads currently inside the blocked
-/// wait loop, `remaining` counts unfinished threads, and `progress_epoch`
-/// is bumped on every transition that can unblock someone (a thread leaving
-/// the wait loop, a promised bound growing, a component finishing). A
-/// blocked thread that observes blocked == remaining with an unchanged
-/// epoch for a full watchdog window has proven the all-blocked-no-progress
-/// condition — the same state pooled's rescue_scan_locked detects — and
-/// fails the run with a deadlock diagnostic instead of spinning forever.
-struct ThreadedShared {
-  std::atomic<bool> abort{false};
-  std::atomic<int> remaining{0};
-  std::atomic<int> blocked{0};
-  std::atomic<std::uint64_t> progress_epoch{0};
-  /// Watchdog window in wall cycles; 0 disables deadlock detection.
-  std::uint64_t watchdog_cycles = 0;
-
-  /// Record the first failure and trip the abort flag. Later failures are
-  /// dropped: they are cascade effects of the first one.
-  void fail(std::exception_ptr e) {
-    {
-      std::lock_guard<std::mutex> l(err_mu);
-      if (!error) error = std::move(e);
-    }
-    abort.store(true, std::memory_order_release);
-  }
-
-  std::exception_ptr take_error() {
-    std::lock_guard<std::mutex> l(err_mu);
-    return error;
-  }
-
- private:
-  std::mutex err_mu;
-  std::exception_ptr error;
-};
 
 class Component;
 
@@ -178,11 +135,6 @@ class Component {
   /// has received (merged across its adapters).
   sync::EventDigest digest() const;
 
-  /// Full threaded execution loop (prepare() must have been called).
-  /// Throws SimulationError when the watchdog detects a deadlock; model
-  /// exceptions propagate out for the runner to attribute and record.
-  void run_thread(ThreadedShared& shared);
-
   // ---- checkpointing ---------------------------------------------------
 
   /// Install (or, with nullptr, remove) the checkpoint boundary observer.
@@ -222,12 +174,6 @@ class Component {
   /// The modeled part of busy_cycles(): deterministic for a given
   /// simulation, unlike the measured part.
   std::uint64_t virtual_cycles() const { return virtual_cycles_; }
-  std::uint64_t wall_cycles() const { return wall_cycles_; }
-  void set_wall_cycles(std::uint64_t c) { wall_cycles_ = c; }
-  /// Threaded mode only: cycles spent in the post-finish drain phase
-  /// (consuming peers' messages after this component completed). Kept out
-  /// of wall_cycles_ so busy/wall utilization reflects the active run only.
-  std::uint64_t drain_cycles() const { return drain_cycles_; }
   std::uint64_t batches() const { return batches_; }
   /// Batches that delivered no data and ran no local event: they only
   /// emitted a due SYNC.
@@ -272,8 +218,6 @@ class Component {
 
   std::uint64_t busy_cycles_ = 0;
   std::uint64_t virtual_cycles_ = 0;
-  std::uint64_t wall_cycles_ = 0;
-  std::uint64_t drain_cycles_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t sync_only_batches_ = 0;
 
@@ -308,6 +252,16 @@ class Component {
   obs::Gauge* g_heap_entries_ = nullptr;
   obs::Gauge* g_batches_ = nullptr;
   obs::Histogram* h_queue_depth_ = nullptr;
+};
+
+/// Wiring of one run's active components, built once per run by
+/// Simulation::run and shared by the runners: peers[s][k] is the slot
+/// (index into the active list) of the component on the other end of
+/// adapter k of slot s, or kNoPeer when no active component owns that end
+/// (unattached, or run by another process).
+struct PeerIndex {
+  static constexpr std::uint32_t kNoPeer = ~std::uint32_t{0};
+  std::vector<std::vector<std::uint32_t>> peers;
 };
 
 /// The one deadlock diagnostic, shared by every runner: `c` cannot run

@@ -7,33 +7,53 @@
 #include <exception>
 #include <mutex>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 
-#include "obs/metrics.hpp"
 #include "runtime/error.hpp"
+#include "sync/wait.hpp"
 #include "util/cycles.hpp"
 
 namespace splitsim::runtime {
 
 namespace {
 
+/// The one wait span: `c` waited on `limiter`'s peer from wall cycle t0 to
+/// t1. Its wait_on argument is the edge obs::merge's critical path walks.
+void trace_wait(const Component& c, const sync::Adapter& limiter, std::uint64_t t0,
+                std::uint64_t t1) {
+  if (obs::tracing_enabled()) {
+    obs::record_span(obs::kNameSyncWait, c.trace_track(), c.now(), t0, t1,
+                     limiter.peer_trace_track());
+  }
+}
+
 class PooledRunner {
  public:
-  PooledRunner(const std::vector<Component*>& components, const PooledOptions& opts)
+  PooledRunner(const std::vector<Component*>& components, const PeerIndex& peers,
+               const PooledOptions& opts, RunAbort& abort)
       : watchdog_cycles_(opts.watchdog_cycles),
         affinity_(opts.controller != nullptr),
         controller_(opts.controller),
-        epoch_cycles_(opts.epoch_cycles) {
-    slots_.reserve(components.size());
-    for (Component* c : components) slots_.push_back(Slot{c});
-    build_peer_index();
+        epoch_cycles_(opts.epoch_cycles),
+        abort_(abort) {
+    slots_.resize(components.size());
+    for (std::size_t i = 0; i < components.size(); ++i) {
+      slots_[i].comp = components[i];
+      auto& ps = slots_[i].peers;
+      for (std::uint32_t p : peers.peers[i]) {
+        if (p != PeerIndex::kNoPeer && p != i && std::find(ps.begin(), ps.end(), p) == ps.end()) {
+          ps.push_back(p);
+        }
+      }
+    }
     live_ = slots_.size();
+    parked_ = std::vector<std::atomic<bool>>(slots_.size());
 
     unsigned hw = std::thread::hardware_concurrency();
     unsigned w = opts.workers != 0 ? opts.workers : (hw != 0 ? hw : 1);
     workers_ = std::max(1u, std::min<unsigned>(w, static_cast<unsigned>(slots_.size())));
+    spin_ = workers_ == slots_.size();
     ws_.assign(workers_, PooledWorkerStats{});
 
     if (affinity_) wq_.resize(workers_);
@@ -46,40 +66,28 @@ class PooledRunner {
       epoch_cycles_ = cycles_per_second() / 100;  // 10 ms default epoch
     }
 
-    // Per-adapter bookkeeping for the epoch view and the live wait-time
-    // export. The per-channel counter is shared by both ends (registry
-    // find-or-create dedups the name), so it reads as total blocked-wait
-    // attributed to that channel from either side.
-    if (controller_ != nullptr || opts.metrics != nullptr) {
+    // Per-adapter wait attribution for the epoch view.
+    if (controller_ != nullptr) {
       for (std::size_t i = 0; i < slots_.size(); ++i) {
         for (auto& a : slots_[i].comp->adapters()) {
-          AdapterInfo ai;
-          ai.adapter = a.get();
-          ai.slot = i;
-          if (opts.metrics != nullptr) {
-            ai.chan_wait = &opts.metrics->counter("pooled.wait.chan." + a->end().channel_name());
-            ai.comp_wait = &opts.metrics->counter("pooled.wait.comp." + slots_[i].comp->name());
-          }
-          aindex_[ai.adapter] = ainfos_.size();
-          ainfos_.push_back(ai);
+          aindex_[a.get()] = ainfos_.size();
+          ainfos_.push_back(AdapterInfo{a.get(), i, 0});
         }
       }
     }
     epoch_start_ = rdcycles();
   }
 
-  void run() {
+  /// Run every worker to the end (or the abort); errors stay in abort_.
+  void run(std::vector<PooledWorkerStats>& worker_stats) {
     std::vector<std::thread> threads;
     threads.reserve(workers_);
     for (unsigned i = 0; i < workers_; ++i) {
       threads.emplace_back([this, i] { worker_entry(i); });
     }
     for (auto& t : threads) t.join();
-    if (error_) std::rethrow_exception(error_);
+    worker_stats = ws_;
   }
-
-  /// Valid once run() has returned or thrown (all workers joined).
-  const std::vector<PooledWorkerStats>& worker_stats() const { return ws_; }
 
  private:
   enum class St : std::uint8_t { kReady, kRunning, kBlocked, kFinished };
@@ -96,9 +104,9 @@ class PooledRunner {
     /// Blocked-wait attribution for the profiler: the adapter that limited
     /// the safe bound when the component parked. `blocked_since` is the
     /// start of the not-yet-folded wait interval — epoch boundaries fold the
-    /// accrued wait and advance it, while `park_t0` keeps the original park
-    /// instant so the trace span covers the whole parked period. TSC deltas
-    /// across workers are approximate, which is fine for profiling.
+    /// accrued wait and advance it, while `park_t0` keeps the instant the
+    /// wait began (before any spin) so the trace span covers all of it. TSC
+    /// deltas across workers are approximate, which is fine for profiling.
     sync::Adapter* wait_attr = nullptr;
     std::uint64_t blocked_since = 0;
     std::uint64_t park_t0 = 0;
@@ -107,39 +115,33 @@ class PooledRunner {
     std::uint64_t epoch_wait = 0;
     /// Simulation time observed at the end of this slot's last quantum,
     /// written under the scheduler lock by the owning worker (so the
-    /// watchdog never probes a component another thread is running).
+    /// watchdog never probes a component another thread is running), and
+    /// the watchdog's state: the time last seen to advance, the wall cycle
+    /// it did, and this slot's quanta since.
     SimTime sim_time = 0;
+    SimTime watch_time = 0;
+    std::uint64_t watch_since = 0;
+    std::uint64_t watch_quanta = 0;
   };
 
-  /// Live wait-export and epoch-attribution state for one adapter. Counter
-  /// pointers are null when no metrics registry was supplied.
+  /// Epoch wait attribution for one adapter.
   struct AdapterInfo {
     sync::Adapter* adapter = nullptr;
     std::size_t slot = 0;
-    obs::Counter* chan_wait = nullptr;
-    obs::Counter* comp_wait = nullptr;
     std::uint64_t epoch_wait = 0;
   };
 
-  void build_peer_index() {
-    std::unordered_map<const sync::ChannelEnd*, std::size_t> owner;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      for (auto& a : slots_[i].comp->adapters()) owner[&a->end()] = i;
-    }
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      for (auto& a : slots_[i].comp->adapters()) {
-        sync::Channel& ch = a->end().channel();
-        const sync::ChannelEnd* other =
-            (&ch.end_a() == &a->end()) ? &ch.end_b() : &ch.end_a();
-        auto it = owner.find(other);
-        if (it == owner.end() || it->second == i) continue;
-        auto& peers = slots_[i].peers;
-        if (std::find(peers.begin(), peers.end(), it->second) == peers.end()) {
-          peers.push_back(it->second);
-        }
-      }
-    }
-  }
+  /// How one scheduling quantum ended (run_quantum). Neither finished nor
+  /// runnable means blocked on `poll`.
+  struct Quantum {
+    bool progressed = false;  ///< ran a batch, promised a bound, or finished
+    bool finished = false;
+    bool runnable = false;  ///< quantum expired with work left
+    Poll poll;
+    bool remote = false;  ///< the limiter's channel is kBlocking (remote wait)
+    std::uint64_t wait_t0 = 0;  ///< start of an unfinished spin (0: none)
+    std::uint64_t wait_cycles = 0;  ///< spun inside the quantum: wait, not busy
+  };
 
   // ---- ready queue (global or per-worker affinity) ---------------------
 
@@ -188,11 +190,11 @@ class PooledRunner {
     try {
       worker_loop(me);
     } catch (...) {
-      std::lock_guard<std::mutex> l(mu_);
-      if (!error_) error_ = std::current_exception();
-      abort_.store(true, std::memory_order_relaxed);
-      cv_.notify_all();
+      abort_.fail(std::current_exception());
     }
+    // Wake parked workers so they see the abort (or the end of the run).
+    std::lock_guard<std::mutex> l(mu_);
+    cv_.notify_all();
   }
 
   void worker_loop(unsigned me) {
@@ -201,7 +203,7 @@ class PooledRunner {
       {
         std::unique_lock<std::mutex> l(mu_);
         for (;;) {
-          if (abort_.load(std::memory_order_relaxed) || live_ == 0) return;
+          if (abort_.aborted() || live_ == 0) return;
           if (pop_ready_locked(me, idx)) break;
           std::uint64_t w0 = rdcycles();
           cv_.wait(l);
@@ -215,90 +217,86 @@ class PooledRunner {
         if (s.wait_attr != nullptr) {
           std::uint64_t woke = rdcycles();
           fold_wait_locked(s, woke);
-          if (obs::tracing_enabled()) {
-            // Parked time shows as a span on the component's track even
-            // though the recording thread (this worker) differs from the
-            // one that parked it — records carry the track explicitly.
-            obs::record_span(obs::kNameParked, s.comp->trace_track(),
-                             s.comp->now(), s.park_t0, woke);
-          }
+          // Recorded on the component's track even though this worker may
+          // not be the one that parked it: records carry the track.
+          trace_wait(*s.comp, *s.wait_attr, s.park_t0, woke);
           s.wait_attr = nullptr;
         }
       }
 
+      // Run quanta. Ownership is exclusive (state kRunning), so no other
+      // worker touches this component's kernel or adapters. Model
+      // exceptions escaping the component are attributed here, while the
+      // failing component is still known.
       Slot& s = slots_[idx];
       Component* c = s.comp;
-
-      // Run a quantum of batches. Ownership is exclusive (state kRunning),
-      // so no other worker touches this component's kernel or adapters.
-      // Model exceptions escaping the component are attributed here, while
-      // the failing component is still known.
-      bool progressed = false;
-      bool finished = false;
-      bool runnable = false;
-      std::uint64_t b0 = rdcycles();
-      try {
-        run_quantum(s, c, progressed, finished, runnable);
-      } catch (...) {
-        throw to_simulation_error(std::current_exception(), c->name(), c->now());
-      }
-      std::uint64_t qcycles = c->add_busy_cycles(rdcycles() - b0);
-      if (abort_.load(std::memory_order_relaxed)) {
-        return;  // another worker failed; drop out without re-queueing
-      }
-
-      SimTime sim_snap = c->now();  // still exclusive: state flips under the lock
-      {
-        std::lock_guard<std::mutex> l(mu_);
-        --running_;
-        ++ws_[me].quanta;
-        ws_[me].busy_cycles += qcycles;
-        s.epoch_busy += qcycles;
-        s.sim_time = sim_snap;
-        if (finished) {
-          s.state = St::kFinished;
-          if (--live_ == 0) cv_.notify_all();
-        } else if (runnable || s.dirty) {
-          s.state = St::kReady;
-          s.dirty = false;
-          s.wait_attr = nullptr;
-          enqueue_locked(idx);
-          cv_.notify_one();
-        } else {
-          s.state = St::kBlocked;
+      for (;;) {
+        Quantum q;
+        std::uint64_t b0 = rdcycles();
+        try {
+          run_quantum(s, c, q);
+        } catch (...) {
+          throw to_simulation_error(std::current_exception(), c->name(), c->now());
         }
-        if (progressed) wake_peers_locked(s);
-        if (controller_ != nullptr && live_ > 0) {
-          std::uint64_t now2 = rdcycles();
-          if (now2 - epoch_start_ >= epoch_cycles_) do_epoch_locked(now2);
+        std::uint64_t qcycles = c->add_busy_cycles(rdcycles() - b0 - q.wait_cycles);
+        if (abort_.aborted()) return;  // another thread failed: drop out
+
+        SimTime sim_snap = c->now();  // still exclusive: state flips under the lock
+        {
+          std::lock_guard<std::mutex> l(mu_);
+          ++ws_[me].quanta;
+          ws_[me].busy_cycles += qcycles;
+          s.epoch_busy += qcycles;
+          s.sim_time = sim_snap;
+          if (q.remote) {
+            // Stays kRunning: this worker keeps it for the remote wait below.
+          } else {
+            --running_;
+            if (q.finished) {
+              s.state = St::kFinished;
+              if (--live_ == 0) cv_.notify_all();
+            } else if (q.runnable || s.dirty) {
+              s.state = St::kReady;
+              s.dirty = false;
+              enqueue_locked(idx);
+              cv_.notify_one();
+            } else {
+              s.state = St::kBlocked;
+              parked_[idx].store(true, std::memory_order_relaxed);
+              s.wait_attr = q.poll.limiter;
+              s.blocked_since = rdcycles();
+              s.park_t0 = q.wait_t0 != 0 ? q.wait_t0 : s.blocked_since;
+            }
+          }
+          if (q.progressed) publish_locked(s);
+          if (controller_ != nullptr && live_ > 0) {
+            std::uint64_t now2 = rdcycles();
+            if (now2 - epoch_start_ >= epoch_cycles_) do_epoch_locked(now2);
+          }
+          if (live_ > 0 && running_ == 0 && queued_ == 0) rescue_scan_locked();
+          if (watchdog_cycles_ != 0) watchdog_check_locked(s);
         }
-        if (live_ > 0 && running_ == 0 && queued_ == 0) rescue_scan_locked();
-        if (watchdog_cycles_ != 0 && live_ > 0) watchdog_check_locked();
+        if (q.finished) drain(*c);
+        if (!q.remote) break;
+        wait_on_worker(*c, q);  // returns once the poll changed, or on abort
       }
     }
   }
 
   /// Fold the accrued blocked-wait interval of `s` into the profiler
-  /// counters, the epoch accumulators, and the live metrics export, then
-  /// advance the interval start. Only called under the scheduler lock while
-  /// the slot is not running (kBlocked, or just popped from ready) — the
-  /// adapter's plain counters race with no one: every ownership hand-off
-  /// goes through mu_, which orders these writes before the next quantum.
+  /// counters and the epoch accumulators, then advance the interval start.
+  /// Only called under the scheduler lock while the slot is not running
+  /// (kBlocked, or just popped from ready) — the adapter's plain counters
+  /// race with no one: every ownership hand-off goes through mu_, which
+  /// orders these writes before the next quantum.
   void fold_wait_locked(Slot& s, std::uint64_t now) {
     if (s.wait_attr == nullptr || now <= s.blocked_since) return;
     std::uint64_t delta = now - s.blocked_since;
     s.blocked_since = now;
     s.wait_attr->add_wait_cycles(delta);
     s.epoch_wait += delta;
-    if (!ainfos_.empty()) {
-      auto it = aindex_.find(s.wait_attr);
-      if (it != aindex_.end()) {
-        AdapterInfo& ai = ainfos_[it->second];
-        ai.epoch_wait += delta;
-        if (ai.chan_wait != nullptr) ai.chan_wait->inc(delta);
-        if (ai.comp_wait != nullptr) ai.comp_wait->inc(delta);
-      }
-    }
+    auto it = aindex_.find(s.wait_attr);
+    if (it != aindex_.end()) ainfos_[it->second].epoch_wait += delta;
   }
 
   /// Epoch boundary (under the scheduler lock): fold still-parked waits,
@@ -348,51 +346,137 @@ class PooledRunner {
   }
 
   /// One scheduling quantum of `c`: advance up to kBatchQuantum batches,
-  /// then classify the component as finished / runnable / blocked (parking
-  /// it with wait attribution in the blocked case).
-  void run_quantum(Slot& s, Component* c, bool& progressed, bool& finished, bool& runnable) {
+  /// then classify the component (see Quantum). With spin_ on, a blocked
+  /// component spins before the quantum ends in a park.
+  void run_quantum(Slot& s, Component* c, Quantum& q) {
     int batches = 0;
     bool promised = false;  // a promise round since the last batch
     for (Poll p = c->poll();; p = c->poll()) {
-      // Another worker failed: stop mid-quantum instead of finishing a
+      // Another thread failed: stop mid-quantum instead of finishing a
       // potentially long quantum against dead peers.
-      if (abort_.load(std::memory_order_relaxed)) return;
+      if (abort_.aborted()) return;
       if (p.done(c->end_time())) {
         c->finish();  // sends FINs: unbounds every peer's horizon
-        finished = true;
-        progressed = true;
+        q.finished = true;
+        q.progressed = true;
         return;
       }
       if (p.next <= p.bound) {
         if (batches == kBatchQuantum) {
-          runnable = true;  // quantum expired; round-robin back into the queue
+          q.runnable = true;  // quantum expired; round-robin back into the queue
           return;
         }
         c->advance(p);
-        progressed = true;
+        q.progressed = true;
         promised = false;
         ++batches;
         continue;
       }
       // Blocked: promise exactly the polled bound to all peers, then poll
       // once more (the promise moves next_sync_due, and peers may have sent
-      // meanwhile). Still blocked: park. A peer that raises the bound later
-      // wakes this component when its own quantum ends.
+      // meanwhile). Still blocked: the quantum ends.
       if (promised || !c->send_nulls(p)) {
-        s.wait_attr = p.limiter;
-        s.blocked_since = s.park_t0 = rdcycles();
-        return;
+        q.poll = p;
+        q.remote = p.limiter->end().channel().mode() == sync::ChannelMode::kBlocking;
+        if (q.remote || !spin_) return;
+        if (q.progressed && peer_parked(s)) {
+          // A parked peer wakes only when a quantum ends: publish first.
+          std::lock_guard<std::mutex> l(mu_);
+          publish_locked(s);
+          q.progressed = false;
+        }
+        const std::uint64_t t0 = rdcycles();
+        const bool changed = wait_on_worker(*c, q);
+        q.wait_cycles += rdcycles() - t0;
+        if (!changed) return;  // spun out (or aborted): park
+        q.wait_t0 = 0;
+        promised = false;  // a grown bound is promised anew
+        continue;
       }
       promised = true;
-      progressed = true;
+      q.progressed = true;
     }
   }
 
-  void wake_peers_locked(const Slot& s) {
+  /// `c` is blocked on `q.poll`: re-poll on this worker until the poll
+  /// changes (runnable, done, or a grown bound to promise) and return true.
+  /// A remote limiter gets the full WaitState backoff, with the remote-wait
+  /// deadlock check once per watchdog window; otherwise the wait ends after
+  /// the spin and yield phases (false: park). Returns false on abort too.
+  /// The time is wait time, charged to the limiter.
+  bool wait_on_worker(Component& c, Quantum& q) {
+    const Poll& blocked = q.poll;
+    q.wait_t0 = rdcycles();
+    if (q.remote) remote_waiting_.fetch_add(1, std::memory_order_acq_rel);
+    std::uint64_t seen = progress_.load(std::memory_order_relaxed);
+    std::uint64_t deadline = watchdog_cycles_ != 0 ? q.wait_t0 + watchdog_cycles_ : 0;
+    sync::WaitState wait;
+    bool changed = false;
+    while (!changed && (q.remote || !wait.will_park()) && !abort_.aborted()) {
+      wait.step();
+      Poll p = c.poll();
+      changed = p.next <= p.bound || p.done(c.end_time()) || p.bound > blocked.bound;
+      if (!changed && q.remote && deadline != 0 && rdcycles() >= deadline) {
+        std::lock_guard<std::mutex> l(mu_);
+        std::size_t waiting = remote_waiting_.load(std::memory_order_acquire);
+        for (const Slot& s : slots_) waiting += s.state == St::kBlocked ? 1 : 0;
+        std::uint64_t now_seen = progress_.load(std::memory_order_relaxed);
+        if (now_seen == seen && waiting == live_) {
+          throw deadlock_error(c, p, "pool: every live component parked or in a remote wait, "
+                                     "no bound grown for a full watchdog window");
+        }
+        seen = now_seen;
+        deadline = rdcycles() + watchdog_cycles_;
+      }
+    }
+    if (q.remote) {
+      progress_.fetch_add(1, std::memory_order_relaxed);
+      remote_waiting_.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    std::uint64_t t1 = rdcycles();
+    blocked.limiter->add_wait_cycles(t1 - q.wait_t0);
+    if (changed) trace_wait(c, *blocked.limiter, q.wait_t0, t1);
+    return changed;
+  }
+
+  /// Some peer of `s` is parked: only this quantum's end can wake it.
+  bool peer_parked(const Slot& s) const {
+    for (std::size_t p : s.peers) {
+      if (parked_[p].load(std::memory_order_relaxed)) return true;
+    }
+    return false;
+  }
+
+  /// Drain (see the file comment): `c` has finished; discard what arrives
+  /// on its kBlocking channels until each peer's FIN, or until the run
+  /// aborts. Unattached ends never see a FIN and are skipped.
+  void drain(Component& c) {
+    sync::WaitState wait;
+    for (;;) {
+      bool open = false;
+      for (auto& a : c.adapters()) {
+        sync::ChannelEnd& e = a->end();
+        if (e.channel().mode() != sync::ChannelMode::kBlocking || a->peer_component().empty() ||
+            e.fin_received()) {
+          continue;
+        }
+        open = true;
+        if (e.discard_all() != 0) wait.reset();
+      }
+      if (!open || abort_.aborted()) return;
+      wait.step();
+    }
+  }
+
+  /// `s` progressed: wake its parked peers, and count the progress for the
+  /// remote-wait deadlock check.
+  void publish_locked(const Slot& s) {
+    progress_.fetch_add(1, std::memory_order_relaxed);
     for (std::size_t p : s.peers) {
       Slot& ps = slots_[p];
       if (ps.state == St::kBlocked) {
         ps.state = St::kReady;
+        parked_[p].store(false, std::memory_order_relaxed);
         enqueue_locked(p);
         cv_.notify_one();
       } else if (ps.state == St::kRunning) {
@@ -419,6 +503,7 @@ class PooledRunner {
       Poll p = c->poll();
       if (p.done(c->end_time()) || p.next <= p.bound) {
         s.state = St::kReady;
+        parked_[i].store(false, std::memory_order_relaxed);
         enqueue_locked(i);
         cv_.notify_one();
         woke = true;
@@ -432,39 +517,31 @@ class PooledRunner {
     throw deadlock_error(*worst, worst_p, "pooled: no runnable component");
   }
 
-  /// Slow-progress watchdog (see PooledOptions::watchdog_cycles): fires when
-  /// the pool-wide minimum simulation time stalls for a full wall-clock
-  /// window while quanta keep executing — a component stuck at one sim
-  /// instant (stalled model, livelock) keeps the ready queue busy so the
-  /// rescue scan above never runs, and the pool limps forever without this.
-  void watchdog_check_locked() {
-    SimTime min_t = kSimTimeMax;
-    Slot* slowest = nullptr;
-    for (auto& s : slots_) {
-      if (s.state == St::kFinished) continue;
-      if (slowest == nullptr || s.sim_time < min_t) {
-        min_t = s.sim_time;
-        slowest = &s;
-      }
-    }
-    if (slowest == nullptr) return;
+  /// Slow-progress watchdog (see PooledOptions::watchdog_cycles), run at
+  /// the end of each of `s`'s quanta: fires when `s` keeps being scheduled
+  /// without its simulation time advancing for a full wall-clock window. A
+  /// component stuck at one sim instant (stalled model, livelock) keeps the
+  /// ready queue busy so the rescue scan above never runs, and the pool
+  /// limps forever without this. Judging each component by its own quanta
+  /// keeps a component that is merely starved of CPU from tripping it.
+  void watchdog_check_locked(Slot& s) {
+    if (s.state == St::kFinished) return;
     std::uint64_t now = rdcycles();
-    if (watchdog_since_ == 0 || min_t > watchdog_min_time_) {
-      watchdog_min_time_ = min_t;
-      watchdog_since_ = now;
-      watchdog_quanta_ = 0;
+    if (s.watch_since == 0 || s.sim_time > s.watch_time) {
+      s.watch_time = s.sim_time;
+      s.watch_since = now;
+      s.watch_quanta = 0;
       return;
     }
-    // Require real scheduling churn before firing so a pool that is simply
-    // parked (workers waiting, no quanta) never trips the watchdog.
-    if (++watchdog_quanta_ < kWatchdogMinQuanta) return;
-    if (now - watchdog_since_ < watchdog_cycles_) return;
+    // Require real scheduling churn before firing so a component that is
+    // simply parked (no quanta) never trips the watchdog.
+    if (++s.watch_quanta < kWatchdogMinQuanta) return;
+    if (now - s.watch_since < watchdog_cycles_) return;
     std::ostringstream os;
-    os << "pooled: simulation time stalled at " << to_ns(min_t) << " ns for "
-       << watchdog_quanta_ << " scheduling quanta; slowest component '"
-       << slowest->comp->name()
+    os << "pooled: simulation time stalled at " << to_ns(s.sim_time) << " ns for "
+       << s.watch_quanta << " scheduling quanta; component '" << s.comp->name()
        << "' is not advancing (stalled model or livelock — slow-progress watchdog)";
-    throw SimulationError(ErrorKind::kDeadlock, slowest->comp->name(), min_t, os.str());
+    throw SimulationError(ErrorKind::kDeadlock, s.comp->name(), s.sim_time, os.str());
   }
 
   static constexpr std::uint64_t kWatchdogMinQuanta = 128;
@@ -472,10 +549,9 @@ class PooledRunner {
   static constexpr int kBatchQuantum = 1024;
 
   const std::uint64_t watchdog_cycles_;
-  SimTime watchdog_min_time_ = 0;
-  std::uint64_t watchdog_since_ = 0;
-  std::uint64_t watchdog_quanta_ = 0;
   unsigned workers_ = 1;
+  /// One worker per component: blocked components spin before parking.
+  bool spin_ = false;
   /// Per-worker affinity queues with work stealing. A controller needs
   /// stable homes to migrate between, so it turns them on.
   const bool affinity_;
@@ -492,35 +568,29 @@ class PooledRunner {
   std::vector<std::deque<std::size_t>> wq_;  ///< per-worker queues (affinity)
   std::size_t queued_ = 0;                   ///< total entries across queues
   std::vector<Slot> slots_;
+  /// slots_[i].state == kBlocked, readable without the lock (peer_parked).
+  std::vector<std::atomic<bool>> parked_;
   std::vector<PooledWorkerStats> ws_;
   std::vector<AdapterInfo> ainfos_;
   std::unordered_map<const sync::Adapter*, std::size_t> aindex_;
   std::size_t live_ = 0;
-  std::size_t running_ = 0;
-  /// Atomic so workers can poll it mid-quantum without taking the lock.
-  std::atomic<bool> abort_{false};
-  std::exception_ptr error_;
+  std::size_t running_ = 0;  ///< components owned by a worker (remote waits too)
+  /// Components in remote_wait, and a count of events that can raise a
+  /// bound (progressing quanta, remote-wait exits): the remote-wait
+  /// deadlock check's inputs.
+  std::atomic<std::size_t> remote_waiting_{0};
+  std::atomic<std::uint64_t> progress_{0};
+  RunAbort& abort_;
 };
 
 }  // namespace
 
-void run_pooled(const std::vector<Component*>& components, const PooledOptions& opts,
-                std::vector<PooledWorkerStats>* worker_stats_out) {
-  if (components.empty()) {
-    if (worker_stats_out != nullptr) worker_stats_out->clear();
-    return;
-  }
-  PooledRunner runner(components, opts);
-  // run() joins every worker before returning or rethrowing, so the stats
-  // read is race-free on both paths — a failed run's imbalance is still
-  // inspectable.
-  try {
-    runner.run();
-  } catch (...) {
-    if (worker_stats_out != nullptr) *worker_stats_out = runner.worker_stats();
-    throw;
-  }
-  if (worker_stats_out != nullptr) *worker_stats_out = runner.worker_stats();
+void run_pooled(const std::vector<Component*>& components, const PeerIndex& peers,
+                const PooledOptions& opts, RunAbort& abort,
+                std::vector<PooledWorkerStats>& worker_stats) {
+  worker_stats.clear();
+  if (!components.empty()) PooledRunner(components, peers, opts, abort).run(worker_stats);
+  if (std::exception_ptr e = abort.error()) std::rethrow_exception(e);
 }
 
 }  // namespace splitsim::runtime

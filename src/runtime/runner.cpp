@@ -4,8 +4,8 @@
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "runtime/pooled.hpp"
 #include "sync/transport.hpp"
@@ -72,6 +72,13 @@ class ScopeGuard {
   bool armed_ = true;
 };
 
+/// `ms` wall milliseconds in cycle units; 0 stays 0 without calibrating the
+/// cycle clock (the first cycles_per_second() call sleeps ~20 ms).
+std::uint64_t ms_to_cycles(std::uint64_t ms) {
+  return ms == 0 ? 0
+                 : static_cast<std::uint64_t>(cycles_per_second() * static_cast<double>(ms) / 1e3);
+}
+
 /// Indexed binary min-heap over the coscheduled runner's component slots,
 /// ordered by (polls[slot].next, slot). The slot tie-break picks the first
 /// of equal candidates in `active` order, as a linear scan would. Every
@@ -136,6 +143,9 @@ class SlotHeap {
 
 sync::Channel& Simulation::add_channel(std::string name, sync::ChannelConfig cfg) {
   channels_.push_back(std::make_unique<sync::Channel>(std::move(name), cfg));
+  // Blocking sends must observe the run's abort, or a producer whose
+  // consumer died keeps waiting for ring space forever.
+  channels_.back()->set_abort_flag(&abort_.flag());
   return *channels_.back();
 }
 
@@ -148,17 +158,10 @@ bool Simulation::component_active(const Component& c) const {
   return std::find(active_names_.begin(), active_names_.end(), c.name()) != active_names_.end();
 }
 
-void Simulation::fail_run(std::exception_ptr e) {
-  std::lock_guard<std::mutex> l(fail_mu_);
-  if (live_shared_ != nullptr) {
-    live_shared_->fail(std::move(e));
-  } else if (!pending_failure_) {
-    pending_failure_ = std::move(e);
-  }
-}
+void Simulation::fail_run(std::exception_ptr e) { abort_.fail(std::move(e)); }
 
 std::string Simulation::describe() {
-  resolve_peers();
+  resolve_peers({});
   std::ostringstream os;
   os << "simulation: " << components_.size() << " simulator instances, " << channels_.size()
      << " channels\n";
@@ -178,28 +181,43 @@ std::string Simulation::describe() {
   return os.str();
 }
 
-void Simulation::resolve_peers() {
-  std::unordered_map<const sync::ChannelEnd*, Component*> owner;
+PeerIndex Simulation::resolve_peers(const std::vector<Component*>& active) {
+  // One end -> (owner, active slot) map names every adapter's peer and
+  // indexes the active components' peers.
+  std::unordered_map<const sync::ChannelEnd*, std::pair<Component*, std::uint32_t>> owner;
   for (auto& c : components_) {
-    for (auto& a : c->adapters()) owner[&a->end()] = c.get();
+    for (auto& a : c->adapters()) owner[&a->end()] = {c.get(), PeerIndex::kNoPeer};
   }
+  for (std::uint32_t s = 0; s < active.size(); ++s) {
+    for (auto& a : active[s]->adapters()) owner[&a->end()].second = s;
+  }
+  auto owner_of_peer = [&owner](sync::Adapter& a) {
+    sync::Channel& ch = a.end().channel();
+    auto it = owner.find(&ch.end_a() == &a.end() ? &ch.end_b() : &ch.end_a());
+    return it != owner.end() ? &it->second : nullptr;
+  };
   for (auto& c : components_) {
     for (auto& a : c->adapters()) {
-      sync::Channel& ch = a->end().channel();
-      const sync::ChannelEnd* other =
-          (&ch.end_a() == &a->end()) ? &ch.end_b() : &ch.end_a();
-      auto it = owner.find(other);
-      if (it != owner.end()) a->set_peer_component(it->second->name());
+      if (auto* o = owner_of_peer(*a)) a->set_peer_component(o->first->name());
     }
   }
+  PeerIndex index;
+  index.peers.resize(active.size());
+  for (std::uint32_t s = 0; s < active.size(); ++s) {
+    for (auto& a : active[s]->adapters()) {
+      auto* o = owner_of_peer(*a);
+      index.peers[s].push_back(o != nullptr ? o->second : PeerIndex::kNoPeer);
+    }
+  }
+  return index;
 }
 
 RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
+  // Cross-process transports keep their channels in kBlocking whatever is
+  // asked here (Channel::set_mode).
   sync::ChannelMode cm = mode == RunMode::kCoscheduled ? sync::ChannelMode::kSpillSingleThread
-                         : mode == RunMode::kPooled    ? sync::ChannelMode::kSpillLocked
-                                                       : sync::ChannelMode::kBlocking;
+                                                       : sync::ChannelMode::kSpillLocked;
   for (auto& ch : channels_) ch->set_mode(cm);
-  resolve_peers();
 
   // Process mode: the full system is constructed in every process (for
   // deterministic wiring), but only this process's partition group runs.
@@ -208,6 +226,7 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
   for (auto& c : components_) {
     if (component_active(*c)) active.push_back(c.get());
   }
+  const PeerIndex peers = resolve_peers(active);
 
   // ---- observability setup (all no-ops when obs_ is default) ----------
   metrics_series_.clear();
@@ -236,11 +255,7 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
       }
     }
   }
-  std::uint64_t publish_period_cycles = 0;
-  if (obs_.metrics_period_ms != 0) {
-    publish_period_cycles = static_cast<std::uint64_t>(
-        cycles_per_second() * static_cast<double>(obs_.metrics_period_ms) / 1e3);
-  }
+  const std::uint64_t publish_period_cycles = ms_to_cycles(obs_.metrics_period_ms);
   if (obs_.live()) {
     for (Component* c : active) c->enable_obs(metrics_, publish_period_cycles);
     for (auto& ch : channels_) {
@@ -349,74 +364,23 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
   try {
     for (Component* c : active) c->prepare(end);
 
-    if (mode == RunMode::kThreaded) {
-      ThreadedShared shared;
-      shared.remaining.store(static_cast<int>(active.size()), std::memory_order_relaxed);
-      // Expose the run to fail_run() (the process-mode monitor thread);
-      // consume any failure injected before the run started.
-      {
-        std::lock_guard<std::mutex> l(fail_mu_);
-        live_shared_ = &shared;
-        if (pending_failure_) {
-          shared.fail(std::move(pending_failure_));
-          pending_failure_ = nullptr;
-        }
-      }
-      ScopeGuard clear_live([this] {
-        std::lock_guard<std::mutex> l(fail_mu_);
-        live_shared_ = nullptr;
-      });
-      if (watchdog_ms_ != 0) {
-        // Calibrated and cached; translate the window into cycle units once.
-        shared.watchdog_cycles = static_cast<std::uint64_t>(
-            cycles_per_second() * static_cast<double>(watchdog_ms_) / 1e3);
-      }
-      // Blocking sends must observe the abort flag, or a producer whose
-      // consumer died keeps waiting for ring space forever. The flag is a
-      // stack local: clear the channel pointers before leaving this scope.
-      for (auto& ch : channels_) ch->set_abort_flag(&shared.abort);
-      ScopeGuard clear_abort([this] {
-        for (auto& ch : channels_) ch->set_abort_flag(nullptr);
-      });
-      std::vector<std::thread> threads;
-      threads.reserve(active.size());
-      for (Component* c : active) {
-        threads.emplace_back([&shared, comp = c] {
-          try {
-            comp->run_thread(shared);
-          } catch (const sync::AbortedError&) {
-            // Secondary failure: this thread was unwound because the run is
-            // already aborting. Never overwrites the original error.
-          } catch (...) {
-            shared.fail(std::make_exception_ptr(
-                to_simulation_error(std::current_exception(), comp->name(), comp->now())));
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-      if (std::exception_ptr err = shared.take_error()) std::rethrow_exception(err);
-    } else if (mode == RunMode::kPooled) {
-      std::vector<Component*> comps = active;
+    if (mode == RunMode::kCoscheduled) {
+      run_coscheduled(active, peers, end);
+    } else {
       PooledOptions opts;
-      opts.workers = workers;
-      if (watchdog_ms_ != 0) {
-        // Same wall-clock window as the threaded watchdog, in cycle units.
-        opts.watchdog_cycles = static_cast<std::uint64_t>(
-            cycles_per_second() * static_cast<double>(watchdog_ms_) / 1e3);
+      // Threaded is the pool with one worker per component.
+      opts.workers = mode == RunMode::kThreaded ? static_cast<unsigned>(active.size()) : workers;
+      opts.watchdog_cycles = ms_to_cycles(watchdog_ms_);
+      if (mode == RunMode::kPooled && pooled_controller_ != nullptr) {
+        opts.controller = pooled_controller_;
+        opts.epoch_cycles = ms_to_cycles(pooled_epoch_ms_);
       }
-      opts.controller = pooled_controller_;
-      if (pooled_controller_ != nullptr && pooled_epoch_ms_ != 0) {
-        opts.epoch_cycles = static_cast<std::uint64_t>(
-            cycles_per_second() * static_cast<double>(pooled_epoch_ms_) / 1e3);
-      }
-      // Live wait-time export (pooled.wait.chan.* / pooled.wait.comp.*)
-      // whenever observability is on for this run.
-      opts.metrics = obs_.live() ? &metrics_ : nullptr;
+      // A failure fail_run() reported before the run started aborts it at
+      // once; the slot is cleared for the next run on every exit path.
+      ScopeGuard clear_abort([this] { abort_.reset(); });
       // Fills pooled_workers_ even when the run throws, so the partial
       // RunStats attached to the error still carry the imbalance view.
-      run_pooled(comps, opts, &pooled_workers_);
-    } else {
-      run_coscheduled(active, end);
+      run_pooled(active, peers, opts, abort_, pooled_workers_);
     }
   } catch (...) {
     run_error = std::current_exception();
@@ -441,7 +405,8 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
   return rs;
 }
 
-void Simulation::run_coscheduled(const std::vector<Component*>& active, SimTime end) {
+void Simulation::run_coscheduled(const std::vector<Component*>& active, const PeerIndex& peers,
+                                 SimTime end) {
   // Always advance the component with the earliest next action, the top of
   // a min-heap keyed on Poll::next (see DESIGN.md, "Coscheduled runner").
   // Conservative synchronization makes any safe order equivalent; picking
@@ -452,8 +417,11 @@ void Simulation::run_coscheduled(const std::vector<Component*>& active, SimTime 
   // runner re-keys the component that ran and every peer whose channel end
   // shows new data sends.
   std::vector<Component*> slots;
-  for (Component* c : active) {
-    if (!c->finished()) slots.push_back(c);
+  std::vector<std::uint32_t> slot_of(active.size(), PeerIndex::kNoPeer);
+  for (std::uint32_t i = 0; i < active.size(); ++i) {
+    if (active[i]->finished()) continue;
+    slot_of[i] = static_cast<std::uint32_t>(slots.size());
+    slots.push_back(active[i]);
   }
   const std::size_t n = slots.size();
 
@@ -465,19 +433,17 @@ void Simulation::run_coscheduled(const std::vector<Component*>& active, SimTime 
     std::uint32_t peer;
     std::uint64_t seen;
   };
-  std::unordered_map<const sync::ChannelEnd*, std::uint32_t> owner;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    for (auto& a : slots[s]->adapters()) owner[&a->end()] = s;
-  }
   std::vector<Link> links;
   std::vector<std::size_t> first(n + 1);
-  for (std::uint32_t s = 0; s < n; ++s) {
+  for (std::uint32_t i = 0; i < active.size(); ++i) {
+    const std::uint32_t s = slot_of[i];
+    if (s == PeerIndex::kNoPeer) continue;
     first[s] = links.size();
-    for (auto& a : slots[s]->adapters()) {
-      sync::Channel& ch = a->end().channel();
-      const sync::ChannelEnd* other = &ch.end_a() == &a->end() ? &ch.end_b() : &ch.end_a();
-      auto it = owner.find(other);
-      if (it != owner.end()) links.push_back({&a->end(), it->second, a->end().data_sends()});
+    const auto& adapters = active[i]->adapters();
+    for (std::size_t k = 0; k < adapters.size(); ++k) {
+      const std::uint32_t peer = peers.peers[i][k];
+      if (peer == PeerIndex::kNoPeer || slot_of[peer] == PeerIndex::kNoPeer) continue;
+      links.push_back({&adapters[k]->end(), slot_of[peer], adapters[k]->end().data_sends()});
     }
   }
   first[n] = links.size();
@@ -563,8 +529,7 @@ RunStats Simulation::collect_stats(RunMode mode, SimTime end, std::uint64_t wall
     cs.name = c->name();
     cs.busy_cycles = c->busy_cycles();
     cs.virtual_cycles = c->virtual_cycles();
-    cs.wall_cycles = c->wall_cycles() != 0 ? c->wall_cycles() : wall_cycles;
-    cs.drain_cycles = c->drain_cycles();
+    cs.wall_cycles = wall_cycles;
     cs.batches = c->batches();
     cs.sync_only_batches = c->sync_only_batches();
     cs.events = c->kernel().events_executed();

@@ -1,7 +1,7 @@
-// Execution of a wired-up SplitSim simulation: thread-per-component
-// (parallel, SimBricks-style), coscheduled on a single thread (used for
-// load measurement and on small machines), or pooled — a fixed worker pool
-// multiplexing many components over few cores (runtime/pooled.hpp).
+// Execution of a wired-up SplitSim simulation: coscheduled on a single
+// thread (load measurement, small machines) or on the worker pool of
+// runtime/pooled.hpp — pooled (many components over few cores) or threaded
+// (one worker per component, SimBricks-style).
 //
 // Conservative lookahead synchronization makes all three modes produce
 // bit-identical simulation results; RunStats::digest (an order-insensitive
@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -28,7 +27,7 @@
 namespace splitsim::runtime {
 
 enum class RunMode {
-  kThreaded,     ///< one OS thread per component simulator
+  kThreaded,     ///< the worker pool with one worker per component
   kCoscheduled,  ///< all components interleaved on the calling thread
   kPooled,       ///< fixed worker pool, horizon-based ready queue
 };
@@ -57,10 +56,7 @@ struct ComponentStats {
   /// The modeled host work inside busy_cycles (Component::virtual_cycles):
   /// deterministic, unlike the measured rest.
   std::uint64_t virtual_cycles = 0;
-  std::uint64_t wall_cycles = 0;
-  /// Threaded mode: post-finish drain time, kept out of wall_cycles so
-  /// busy/wall utilization is not deflated for early finishers.
-  std::uint64_t drain_cycles = 0;
+  std::uint64_t wall_cycles = 0;  ///< the run's wall time
   std::uint64_t batches = 0;
   /// Batches that only emitted a due SYNC (Component::sync_only_batches).
   std::uint64_t sync_only_batches = 0;
@@ -85,9 +81,10 @@ struct RunStats {
   double wall_seconds = 0.0;
   EventDigest digest;  ///< whole-run determinism digest (merged components)
   std::vector<ComponentStats> components;
-  /// Per-worker scheduling stats from a pooled run (empty for other modes):
-  /// quanta, busy/park cycles, steals, migrations — the load-imbalance view
-  /// the adaptive rebalancer works from, also emitted into summary.json.
+  /// Per-worker scheduling stats from a pooled or threaded run (empty for
+  /// coscheduled): quanta, busy/park cycles, steals, migrations — the
+  /// load-imbalance view the adaptive rebalancer works from, also emitted
+  /// into summary.json.
   std::vector<PooledWorkerStats> pooled_workers;
   /// Coscheduled runner overhead (0 in other modes). sched_polls counts
   /// its Component::poll() calls and is deterministic; sched_cycles is
@@ -144,20 +141,18 @@ class Simulation {
   void set_active_components(std::vector<std::string> names);
   bool component_active(const Component& c) const;
 
-  /// Inject a failure into a running (or about-to-run) threaded simulation
+  /// Inject a failure into a running (or the next) threaded or pooled run
   /// from another thread — the process-mode monitor uses this to turn peer
   /// process death into an attributed SimulationError instead of a hang.
   /// The first failure wins; the run unwinds through the normal abort path
   /// with partial stats attached.
   void fail_run(std::exception_ptr e);
 
-  /// Threaded-mode hang watchdog window in wall milliseconds (0 disables).
-  /// When every unfinished component thread is blocked and no horizon
-  /// progress happens for a full window, the run fails with a
-  /// SimulationError(kDeadlock) instead of spinning forever — the threaded
-  /// analogue of the deadlock checks in the coscheduled and pooled runners.
+  /// Worker-pool watchdog window in wall milliseconds (0 disables): a
+  /// threaded or pooled run fails with SimulationError(kDeadlock) when a
+  /// component runs without advancing, or all wait and no bound grows, for
+  /// a whole window (runtime/pooled.hpp).
   void set_watchdog_ms(std::uint64_t ms) { watchdog_ms_ = ms; }
-  std::uint64_t watchdog_ms() const { return watchdog_ms_; }
 
   /// Configure live observability — tracing, periodic metrics snapshots,
   /// progress reporting — for subsequent run() calls. With the default
@@ -177,7 +172,6 @@ class Simulation {
     pooled_controller_ = c;
     pooled_epoch_ms_ = epoch_ms;
   }
-  PooledController* pooled_controller() const { return pooled_controller_; }
 
   /// Periodic metrics snapshots from the last run, ending with one final
   /// end-of-run snapshot (empty when metrics were off).
@@ -189,7 +183,8 @@ class Simulation {
   std::string describe();
 
   /// Run until `end` of simulated time; returns profiling/run statistics.
-  /// `workers` only applies to RunMode::kPooled (0 = hardware concurrency).
+  /// `workers` only applies to RunMode::kPooled (0 = hardware concurrency);
+  /// RunMode::kThreaded uses one worker per active component.
   ///
   /// Failure contract (uniform across run modes): any failure — a model
   /// exception escaping a component, a synchronization deadlock, a watchdog
@@ -203,15 +198,15 @@ class Simulation {
  private:
   RunStats collect_stats(RunMode mode, SimTime end, std::uint64_t wall_cycles,
                          double wall_seconds);
-  void run_coscheduled(const std::vector<Component*>& active, SimTime end);
-  void resolve_peers();
+  void run_coscheduled(const std::vector<Component*>& active, const PeerIndex& peers,
+                       SimTime end);
+  /// Name every adapter's peer component and index the peers of `active`.
+  PeerIndex resolve_peers(const std::vector<Component*>& active);
 
   std::vector<std::unique_ptr<Component>> components_;
   std::vector<std::unique_ptr<sync::Channel>> channels_;
   std::vector<std::string> active_names_;  ///< empty = all components run
-  std::mutex fail_mu_;                     ///< guards live_shared_/pending_failure_
-  ThreadedShared* live_shared_ = nullptr;  ///< set while a threaded run executes
-  std::exception_ptr pending_failure_;     ///< fail_run() before the run started
+  RunAbort abort_;  ///< the failure slot of threaded and pooled runs
   std::uint64_t watchdog_ms_ = 500;
   obs::ObsConfig obs_;
   obs::Registry metrics_;

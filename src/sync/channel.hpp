@@ -15,18 +15,20 @@
 // latency; parallel execution produces the same simulation results as
 // sequential execution.
 //
-// A channel operates in one of three modes, chosen by the runtime per run:
-//   * kBlocking (threaded runs): pure SPSC rings; a producer that finds the
-//     ring full waits with the adaptive spin/yield/park policy until the
-//     consumer thread drains it.
+// A channel operates in one of three modes:
 //   * kSpillSingleThread (coscheduled runs): producer and consumer share one
 //     thread, so blocking would deadlock; a full ring overflows into an
 //     unbounded spill queue with no locking.
-//   * kSpillLocked (pooled runs): M components multiplex over N workers, so
-//     a producer must never hold its worker hostage waiting for a consumer
-//     that has no worker to run on (or has finished and will never drain its
-//     rings). A full ring overflows into a mutex-protected spill queue
-//     instead; the common non-full path stays lock-free SPSC.
+//   * kSpillLocked (pooled and threaded runs): components share a worker
+//     pool, so a producer must never hold its worker hostage waiting for a
+//     consumer that has no worker to run on (or has finished and will never
+//     drain its rings). A full ring overflows into a mutex-protected spill
+//     queue instead; the common non-full path stays lock-free SPSC.
+//   * kBlocking: forced by a cross-process transport (shm, socket); spill
+//     queues are address-space-local. A producer that finds the ring full
+//     waits (adaptive spin/yield/park, or the transport's backpressure)
+//     until the consumer drains it, so the worker pool gives each component
+//     a worker of its own (threaded runs; runtime/pooled.hpp).
 #pragma once
 
 #include <atomic>
@@ -63,9 +65,9 @@ struct ChannelConfig {
 
 /// How a full transmit ring is handled (see file comment).
 enum class ChannelMode {
-  kBlocking,           ///< threaded: wait (spin/yield/park) for ring space
+  kBlocking,           ///< cross-process transport: wait for ring space
   kSpillSingleThread,  ///< coscheduled: unbounded spill, no locking
-  kSpillLocked,        ///< pooled: unbounded spill behind a mutex
+  kSpillLocked,        ///< pooled and threaded: unbounded spill behind a mutex
 };
 
 /// Thrown out of a blocking send when the run's abort flag trips: the
@@ -178,8 +180,8 @@ class ChannelEnd {
   template <typename F>
   std::size_t drain_until(SimTime wire_limit, F&& on_data);
 
-  /// Drain and drop everything pending (threaded-mode termination phase:
-  /// keep consuming so still-running peers never block on a full ring).
+  /// Drain and drop everything pending (a finished component's drain: a
+  /// peer blocked on a full kBlocking ring can then finish too).
   std::size_t discard_all();
 
   // ---- observability (safe to read from the obs reporter thread) -----
@@ -300,16 +302,10 @@ class Channel {
 
   /// Abort flag checked by blocking sends (kBlocking mode): when it becomes
   /// true mid-wait, the send throws AbortedError instead of waiting forever
-  /// for a consumer that may have died. The threaded runner points every
-  /// channel at the run's abort flag for the duration of the run; nullptr
-  /// (the default) restores unconditional blocking.
+  /// for a consumer that may have died. runtime::Simulation points its
+  /// channels at the flag of its threaded and pooled runs; nullptr (the
+  /// default) restores unconditional blocking.
   void set_abort_flag(const std::atomic<bool>* abort) { abort_ = abort; }
-
-  /// Back-compat shorthand: single-threaded == coscheduled spill mode.
-  void set_single_threaded(bool st) {
-    mode_ = st ? ChannelMode::kSpillSingleThread : ChannelMode::kBlocking;
-  }
-  bool single_threaded() const { return mode_ == ChannelMode::kSpillSingleThread; }
 
   /// Adaptive sync-interval override (orch/adaptive.hpp). 0 clears the
   /// override (back to the configured interval); any other value is clamped

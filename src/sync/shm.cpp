@@ -245,8 +245,4 @@ void ShmChannelTransport::signal_abort() {
   }
 }
 
-bool ShmChannelTransport::abort_signalled() const {
-  return map_->header()->abort.load(std::memory_order_acquire) != 0;
-}
-
 }  // namespace splitsim::sync

@@ -79,7 +79,6 @@ class ShmChannelTransport final : public Transport {
   /// Raise the segment's cooperative abort word so the peer process fails
   /// fast instead of discovering our death via the pid probe.
   void signal_abort() override;
-  bool abort_signalled() const;
 
   WireCounters* wire_counters() override { return &wire_; }
 

@@ -49,10 +49,12 @@ class WaitState {
     } else {
       std::this_thread::sleep_for(park_next_);
       park_next_ = std::min(park_next_ * 2, policy_->park_max);
-      ++parks_;
     }
     ++iter_;
   }
+
+  /// The spin and yield phases are used up: the next step() sleeps.
+  bool will_park() const { return iter_ >= policy_->spin_iters + policy_->yield_iters; }
 
   /// Progress was observed: restart the escalation from the spin phase.
   void reset() {
@@ -60,12 +62,9 @@ class WaitState {
     park_next_ = policy_->park_initial;
   }
 
-  std::uint64_t parks() const { return parks_; }
-
  private:
   const WaitPolicy* policy_;
   std::uint32_t iter_ = 0;
-  std::uint64_t parks_ = 0;
   std::chrono::nanoseconds park_next_;
 };
 

@@ -143,7 +143,7 @@ TEST_P(FaultModes, ModelExceptionSurfacesAsSimulationError) {
 
 TEST_P(FaultModes, DeadlockSurfacesAsSimulationError) {
   Simulation sim;
-  sim.set_watchdog_ms(100);  // threaded mode relies on the watchdog
+  sim.set_watchdog_ms(100);  // must not matter: the rescue scan catches this
   auto& ch = sim.add_channel("half", {.latency = 500});
   sim.add_component<Streamer>("lonely", ch.end_a(), 50, 100);
   // ch.end_b() is never attached: "lonely"'s horizon cannot advance.

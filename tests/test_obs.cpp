@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -456,26 +457,53 @@ TEST(ObsTrace, ChromeExportPairedSpansAndFlowArrows) {
             static_cast<std::size_t>(2 * kPings));
 }
 
-TEST(ObsTrace, ThreadedRunFlowsMatchToo) {
+TEST(ObsTrace, ParallelRunsTraceFlowsAndPeerWaits) {
+  // Threaded and pooled runs both run on the worker pool: flow arrows pair
+  // up, and every blocked wait (spun or parked) is one sync_wait span whose
+  // wait_on names the peer — the edge obs::merge's critical path walks.
   constexpr int kPings = 25;
-  runtime::Simulation sim;
-  auto& ch = sim.add_channel("c", {.latency = 700});
-  sim.add_component<Pinger>("pinger", ch.end_a(), kPings);
-  auto& refl = sim.add_component<Reflector>("reflector", ch.end_b());
-  ObsConfig oc;
-  oc.trace = true;
-  sim.set_obs(oc);
-  sim.run(from_us(10.0), runtime::RunMode::kThreaded);
-  ASSERT_EQ(refl.reflected, kPings);
+  const std::map<std::string, std::string> peer_of = {{"pinger", "reflector"},
+                                                      {"reflector", "pinger"}};
+  // One pooled worker for two components: waits park without spinning.
+  for (auto [mode, workers] : {std::pair{runtime::RunMode::kThreaded, 0u},
+                               std::pair{runtime::RunMode::kPooled, 1u}}) {
+    SCOPED_TRACE(runtime::to_string(mode));
+    runtime::Simulation sim;
+    auto& ch = sim.add_channel("c", {.latency = 700});
+    sim.add_component<Pinger>("pinger", ch.end_a(), kPings);
+    auto& refl = sim.add_component<Reflector>("reflector", ch.end_b());
+    ObsConfig oc;
+    oc.trace = true;
+    sim.set_obs(oc);
+    runtime::RunStats st = sim.run(from_us(10.0), mode, workers);
+    ASSERT_EQ(refl.reflected, kPings);
+    EXPECT_EQ(st.pooled_workers.size(), mode == runtime::RunMode::kThreaded ? 2u : 1u);
 
-  Json j = parse_or_die(chrome_trace_json());
-  int begins = 0, ends = 0;
-  for (const Json& e : j.find("traceEvents")->arr) {
-    if (e.str_at("ph") == "s") ++begins;
-    if (e.str_at("ph") == "f") ++ends;
+    Json j = parse_or_die(chrome_trace_json());
+    std::map<double, std::string> track_name;
+    for (const Json& e : j.find("traceEvents")->arr) {
+      if (e.str_at("ph") == "M" && e.str_at("name") == "thread_name") {
+        track_name[e.num_at("tid")] = e.find("args")->str_at("name");
+      }
+    }
+    int begins = 0, ends = 0;
+    std::map<std::string, int> waits;
+    for (const Json& e : j.find("traceEvents")->arr) {
+      const std::string ph = e.str_at("ph");
+      if (ph == "s") ++begins;
+      if (ph == "f") ++ends;
+      if (ph != "X") continue;
+      EXPECT_NE(e.str_at("name"), "parked");
+      if (e.str_at("name") != "sync_wait") continue;
+      const std::string waiter = track_name[e.num_at("tid")];
+      EXPECT_EQ(e.find("args")->str_at("wait_on"), peer_of.at(waiter));
+      ++waits[waiter];
+    }
+    EXPECT_EQ(begins, 2 * kPings);
+    EXPECT_EQ(ends, 2 * kPings);
+    EXPECT_GT(waits["pinger"], 0);
+    EXPECT_GT(waits["reflector"], 0);
   }
-  EXPECT_EQ(begins, 2 * kPings);
-  EXPECT_EQ(ends, 2 * kPings);
 }
 
 // ---- live metrics + progress ----------------------------------------------

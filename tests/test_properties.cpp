@@ -177,7 +177,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChannelProperty, ::testing::Range<std::uint64_t>
 TEST_P(ChannelProperty, TimestampMonotoneFifoDelivery) {
   Rng rng(GetParam());
   sync::Channel ch("p", {.latency = 50, .ring_capacity = 16});
-  ch.set_single_threaded(true);
+  ch.set_mode(sync::ChannelMode::kSpillSingleThread);
   SimTime t = 0;
   std::vector<std::uint64_t> sent_ids;
   std::vector<std::uint64_t> got_ids;

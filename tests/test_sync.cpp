@@ -207,7 +207,7 @@ TEST(ChannelTest, FinUnboundsHorizon) {
 
 TEST(ChannelTest, SingleThreadedSpillPreservesOrder) {
   Channel ch("c", {.latency = 1, .ring_capacity = 4});
-  ch.set_single_threaded(true);
+  ch.set_mode(ChannelMode::kSpillSingleThread);
   constexpr int kCount = 100;  // far beyond ring capacity
   for (int i = 0; i < kCount; ++i) {
     Message m;

@@ -21,6 +21,7 @@
 #include <string>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "clocksync/scenario.hpp"
@@ -426,6 +427,99 @@ TEST(TransportParityTest, ClockSyncPartitionedSwapMatchesInproc) {
   ASSERT_GT(ref.count, 0u);
   EXPECT_EQ(run_clocksync_ac("shm", "cs-shm"), ref);
   EXPECT_EQ(run_clocksync_ac("socket", "cs-socket"), ref);
+}
+
+// ---------------------------------------------------------------------------
+// Drain and deadlock over a blocking transport
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Sends one data message every `gap` until `end`.
+class Ticker : public runtime::Component {
+ public:
+  Ticker(std::string name, ChannelEnd& end, SimTime gap, SimTime stop)
+      : Component(std::move(name)), gap_(gap), stop_(stop) {
+    out_ = &add_adapter("out", end);
+  }
+  void init() override {
+    kernel().schedule_at(0, [this] { tick(); });
+  }
+
+ private:
+  void tick() {
+    out_->send(kUserTypeBase, seq_++, kernel().now());
+    if (kernel().now() + gap_ <= stop_) kernel().schedule_in(gap_, [this] { tick(); });
+  }
+
+  Adapter* out_;
+  SimTime gap_;
+  SimTime stop_;
+  std::uint64_t seq_ = 0;
+};
+
+class Sink : public runtime::Component {
+ public:
+  Sink(std::string name, ChannelEnd& end) : Component(std::move(name)) {
+    add_adapter("in", end).set_handler([this](const Message&, SimTime) { ++received; });
+  }
+  int received = 0;
+};
+
+}  // namespace
+
+TEST(TransportDrainTest, FinishedConsumerDrainsBlockingRingUntilFin) {
+  // The sink may finish as soon as the ticker's horizon passes the end,
+  // i.e. once the ticker reaches end - latency. The ticker still sends 10
+  // messages in that last latency window, all received after the end. Over
+  // a 2-slot shm ring (a kBlocking channel) the ticker would block on the
+  // third of them forever: the run only completes because the finished
+  // sink keeps draining its ring until the ticker's FIN.
+  static constexpr SimTime kEnd = 20'000;
+  auto run = [](bool shm, runtime::RunMode mode) {
+    runtime::Simulation sim;
+    auto& ch = sim.add_channel("t.drain", {.latency = 500, .ring_capacity = 2});
+    sim.add_component<Ticker>("ticker", ch.end_a(), 50, kEnd);
+    auto& sink = sim.add_component<Sink>("sink", ch.end_b());
+    if (shm) {
+      ch.set_transport(std::make_unique<ShmChannelTransport>(shm_params("t.drain", 2)));
+      ch.transport().start();
+    }
+    runtime::RunStats st = sim.run(kEnd, mode);
+    if (shm) ch.transport().stop();
+    return std::make_pair(st.digest, sink.received);
+  };
+  auto [ref, ref_received] = run(false, runtime::RunMode::kCoscheduled);
+  ASSERT_GT(ref_received, 0);
+  auto [got, got_received] = run(true, runtime::RunMode::kThreaded);
+  EXPECT_EQ(got, ref);
+  EXPECT_EQ(got_received, ref_received);
+}
+
+TEST(TransportDrainTest, UnfedBlockingChannelSurfacesAsDeadlock) {
+  // A kBlocking channel is fed by another process, so its consumer waits
+  // without parking (a remote wait) and the rescue scan cannot see it.
+  // Here nothing ever feeds it: once every live component is parked or in
+  // a remote wait and no bound grows for a watchdog window, the run must
+  // fail as an attributed deadlock instead of waiting forever.
+  runtime::Simulation sim;
+  sim.set_watchdog_ms(100);
+  auto& ch = sim.add_channel("t.unfed", {.latency = 500, .ring_capacity = 16});
+  sim.add_component<Ticker>("lonely", ch.end_a(), 100, 400);
+  // ch.end_b() belongs to no component: "lonely"'s horizon cannot advance.
+  ch.set_transport(std::make_unique<ShmChannelTransport>(shm_params("t.unfed", 16)));
+  ch.transport().start();
+  try {
+    sim.run(10'000, runtime::RunMode::kThreaded);
+    FAIL() << "run() should have thrown";
+  } catch (const runtime::SimulationError& e) {
+    EXPECT_EQ(e.kind(), runtime::ErrorKind::kDeadlock);
+    EXPECT_EQ(e.component(), "lonely");
+    EXPECT_NE(std::string(e.what()).find("remote wait"), std::string::npos) << e.what();
+    ASSERT_NE(e.stats(), nullptr);
+    EXPECT_EQ(e.stats()->outcome, runtime::RunOutcome::kError);
+  }
+  ch.transport().stop();
 }
 
 // ---------------------------------------------------------------------------
