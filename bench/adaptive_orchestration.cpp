@@ -1,17 +1,18 @@
-// Adaptive orchestration vs static configurations (PR: profiler-guided
-// adaptive orchestration; extends the Fig. 9 experiment).
+// Partition auto-selection vs static partitions (extends the Fig. 9
+// experiment).
 //
 // Runs the skewed background-datacenter topology in *pooled* mode under
-// every static partition strategy, then under adaptive orchestration
-// (partition=auto via a short pooled calibration sweep, plus the epoch
-// rebalancing / sync-interval-tuning controller on the full run).
+// every static partition strategy, then under partition=auto: a short
+// pooled calibration run per strategy, and the full run under the winner.
 //
 // Claims checked (and gated with --strict for CI):
-//  * adaptive reaches >= 0.9x the best static configuration's speed,
-//    without being told which strategy wins
-//  * adaptive is >= 1.3x faster than the worst static configuration
+//  * auto reaches >= 0.9x the best static configuration's speed, without
+//    being told which strategy wins
+//  * auto is >= 1.3x faster than the worst static configuration
 //
-// Emits BENCH_adaptive.json (uploaded by the CI bench-smoke job).
+// --adaptive-calib-ms=MS sets the calibration quantum (default: an eighth
+// of the run). Emits BENCH_adaptive.json (uploaded by the CI bench-smoke
+// job).
 #include "common.hpp"
 #include "dc_experiment.hpp"
 #include "util/table.hpp"
@@ -36,8 +37,8 @@ benchdc::DcExperimentResult run_best_of(const benchdc::DcExperimentConfig& cfg,
 
 int main(int argc, char** argv) {
   benchutil::Args args(argc, argv);
-  benchutil::header("Adaptive orchestration vs static partition/schedule",
-                    "adaptive-orchestration PR (builds on paper Fig. 9)", args.full());
+  benchutil::header("Partition auto-selection vs static partitions",
+                    "builds on paper Fig. 9", args.full());
 
   benchdc::DcExperimentConfig base;
   if (args.full()) {
@@ -91,14 +92,11 @@ int main(int argc, char** argv) {
                Table::num(speed, 4), "-"});
   }
 
-  // Adaptive: short pooled calibration run per candidate (the same ranking
+  // Auto: short pooled calibration run per candidate (the same ranking
   // rule orch::calibrate_partition applies for non-coscheduled modes:
-  // simulated seconds per wall second), then the full run under the winner
-  // with the epoch controller enabled.
-  orch::AdaptiveSpec aspec = benchutil::parse_adaptive(args);
-  aspec.enabled = true;
-  SimTime calib_q = aspec.calibration_duration != 0 ? aspec.calibration_duration
-                                                    : base.duration / 8;
+  // simulated seconds per wall second), then the full run under the winner.
+  double calib_ms = args.get_double("--adaptive-calib-ms", 0.0);
+  SimTime calib_q = calib_ms > 0 ? from_ms(calib_ms) : base.duration / 8;
   double calibration_seconds = 0;
   std::string chosen;
   double chosen_calib_speed = 0;
@@ -116,35 +114,30 @@ int main(int argc, char** argv) {
   }
   benchdc::DcExperimentConfig cfg = base;
   cfg.strategy = chosen;
-  cfg.adaptive = aspec;
   auto r = run_best_of(cfg, repeat);
-  double adaptive_speed = sim_sec / r.stats.wall_seconds;
-  t.add_row({"adaptive(auto->" + chosen + ")", std::to_string(r.components),
-             Table::num(r.stats.wall_seconds, 3), Table::num(adaptive_speed, 4),
-             Table::num(adaptive_speed / worst_speed, 2)});
+  double auto_speed = sim_sec / r.stats.wall_seconds;
+  t.add_row({"auto->" + chosen, std::to_string(r.components),
+             Table::num(r.stats.wall_seconds, 3), Table::num(auto_speed, 4),
+             Table::num(auto_speed / worst_speed, 2)});
   std::printf("%s\n", t.to_string().c_str());
-  std::printf("best static: %s, worst static: %s; calibration cost %.3f wall-s\n",
+  std::printf("best static: %s, worst static: %s; calibration cost %.3f wall-s\n\n",
               best_name.c_str(), worst_name.c_str(), calibration_seconds);
-  std::printf("controller: %.0f migrations, %.0f sync-interval changes\n\n",
-              r.adaptive_migrations, r.adaptive_interval_changes);
 
   benchutil::BenchResult ar;
-  ar.name = "adaptive";
+  ar.name = "auto";
   ar.ops = r.components;
-  ar.ops_per_sec = adaptive_speed;
+  ar.ops_per_sec = auto_speed;
   ar.extra.emplace_back("wall_seconds", r.stats.wall_seconds);
   ar.extra.emplace_back("calibration_seconds", calibration_seconds);
-  ar.extra.emplace_back("adaptive_vs_best", adaptive_speed / best_speed);
-  ar.extra.emplace_back("adaptive_vs_worst", adaptive_speed / worst_speed);
-  ar.extra.emplace_back("migrations", r.adaptive_migrations);
-  ar.extra.emplace_back("interval_changes", r.adaptive_interval_changes);
+  ar.extra.emplace_back("auto_vs_best", auto_speed / best_speed);
+  ar.extra.emplace_back("auto_vs_worst", auto_speed / worst_speed);
   out.push_back(ar);
   benchutil::write_json(args.get("--out", "BENCH_adaptive.json"), "sim_s_per_wall_s", out);
 
-  bool near_best = adaptive_speed >= 0.9 * best_speed;
-  bool beats_worst = adaptive_speed >= 1.3 * worst_speed;
-  benchutil::check(near_best, "adaptive reaches >= 0.9x the best static speed");
-  benchutil::check(beats_worst, "adaptive is >= 1.3x faster than the worst static");
+  bool near_best = auto_speed >= 0.9 * best_speed;
+  bool beats_worst = auto_speed >= 1.3 * worst_speed;
+  benchutil::check(near_best, "partition=auto reaches >= 0.9x the best static speed");
+  benchutil::check(beats_worst, "partition=auto is >= 1.3x faster than the worst static");
   if (args.has("--strict") && !(near_best && beats_worst)) return 1;
   return 0;
 }

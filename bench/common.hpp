@@ -98,29 +98,6 @@ inline splitsim::SimTime parse_duration(const Args& args, splitsim::SimTime def)
   return ms >= 0 ? splitsim::from_ms(ms) : def;
 }
 
-// ---- shared adaptive-orchestration flags ---------------------------------
-//
-// Adaptive orchestration (orch/adaptive.hpp) shares one flag surface:
-//   --adaptive               enable (controller on pooled runs; makes
-//                            --partition=auto meaningful everywhere)
-//   --adaptive-epoch-ms=N    controller epoch length (default 10)
-//   --adaptive-no-rebalance  disable epoch migrations
-//   --adaptive-no-tune       disable sync-interval tuning
-//   --adaptive-calib-ms=MS   calibration quantum per partition candidate
-// The resulting spec is disabled unless --adaptive is present.
-
-inline splitsim::orch::AdaptiveSpec parse_adaptive(const Args& args,
-                                                   splitsim::orch::AdaptiveSpec def = {}) {
-  if (args.has("--adaptive")) def.enabled = true;
-  def.epoch_ms = static_cast<std::uint64_t>(
-      args.get_int("--adaptive-epoch-ms", static_cast<int>(def.epoch_ms)));
-  if (args.has("--adaptive-no-rebalance")) def.rebalance = false;
-  if (args.has("--adaptive-no-tune")) def.tune_sync_interval = false;
-  double calib_ms = args.get_double("--adaptive-calib-ms", -1.0);
-  if (calib_ms >= 0) def.calibration_duration = splitsim::from_ms(calib_ms);
-  return def;
-}
-
 // ---- shared fault-injection flags ----------------------------------------
 //
 // Robustness experiments (orch/fault.hpp) share one flag surface:

@@ -46,10 +46,8 @@ struct DcExperimentConfig {
   /// directory); defaults leave everything off.
   orch::ProfileSpec profile;
   /// Execution choices for the run itself (fig9/fig10 default to the
-  /// load-measurement coscheduled mode; --run-mode/--adaptive override).
+  /// load-measurement coscheduled mode; --run-mode overrides).
   orch::ExecSpec exec = make_coscheduled_exec();
-  /// Adaptive orchestration (controller on pooled runs).
-  orch::AdaptiveSpec adaptive;
 };
 
 struct DcExperimentResult {
@@ -58,10 +56,6 @@ struct DcExperimentResult {
   int partitions = 0;
   std::size_t components = 0;  ///< = cores used, 1 per simulator instance
   double projected_sim_speed = 0.0;
-  /// Adaptive-controller activity (0 unless cfg.adaptive.enabled and the
-  /// run mode was pooled), read back from the metrics registry.
-  double adaptive_migrations = 0.0;
-  double adaptive_interval_changes = 0.0;
 };
 
 inline DcExperimentResult run_dc_experiment(const DcExperimentConfig& cfg) {
@@ -155,14 +149,10 @@ inline DcExperimentResult run_dc_experiment(const DcExperimentConfig& cfg) {
   a.host->kernel().schedule_at(0, [sender] { sender->send(); });
 
   DcExperimentResult res;
-  res.stats = orch::run_profiled(sim, cfg.profile, cfg.exec, cfg.duration, nullptr,
-                                 cfg.adaptive.enabled ? &cfg.adaptive : nullptr);
+  res.stats = orch::run_profiled(sim, cfg.profile, cfg.exec, cfg.duration);
   res.report = profiler::build_report(res.stats);
   res.partitions = orch::partition_count(part);
   res.components = sim.components().size();
-  res.adaptive_migrations = sim.metrics().counter("adaptive.migrations").value();
-  res.adaptive_interval_changes =
-      sim.metrics().counter("adaptive.interval_changes").value();
   profiler::PerfModelConfig pm;
   res.projected_sim_speed = profiler::project_sim_speed(res.report, pm);
   return res;

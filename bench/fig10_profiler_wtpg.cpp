@@ -91,23 +91,6 @@ int main(int argc, char** argv) {
   std::printf("bottleneck under ac : %s\n", bottleneck_ac.c_str());
   std::printf("bottleneck under %s: %s\n\n", fine.c_str(), bottleneck_cr3.c_str());
 
-  if (args.has("--adaptive")) {
-    // Same experiment, pooled run mode with the adaptive controller: the
-    // live wait-time sampler feeds the same WTPG edges mid-run, and the
-    // controller's decisions land in the metrics registry (and trace, with
-    // --trace). Compare the post-run WTPG with the static `ac` graph above.
-    benchdc::DcExperimentConfig cfg = base;
-    cfg.strategy = "ac";
-    cfg.exec = benchutil::parse_exec(args, cfg.exec);
-    cfg.exec.run_mode = runtime::RunMode::kPooled;
-    cfg.adaptive = benchutil::parse_adaptive(args);
-    auto r = benchdc::run_dc_experiment(cfg);
-    std::printf("--- strategy ac, pooled + adaptive controller ---\n");
-    std::printf("%s\n", profiler::format_wtpg(r.report).c_str());
-    std::printf("controller: %.0f migrations, %.0f sync-interval changes\n\n",
-                r.adaptive_migrations, r.adaptive_interval_changes);
-  }
-
   benchutil::check(bottleneck_ac.rfind("net.", 0) == 0,
                    "ac: a network partition (rack-carrying ns-3 process) is the bottleneck");
   benchutil::check(bottleneck_cr3.rfind("host.", 0) == 0 ||

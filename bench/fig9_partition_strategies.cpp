@@ -72,9 +72,9 @@ int main(int argc, char** argv) {
     // strategy (the same ranking orch::calibrate_partition uses), then the
     // full-length run under the winner. Checks the calibration quantum is
     // long enough to pick a strategy competitive with the exhaustive sweep.
-    orch::AdaptiveSpec aspec = benchutil::parse_adaptive(args);
-    SimTime calib = aspec.calibration_duration != 0 ? aspec.calibration_duration
-                                                    : base.duration / 8;
+    // --adaptive-calib-ms=MS sets the quantum (default: an eighth of the run).
+    double calib_ms = args.get_double("--adaptive-calib-ms", 0.0);
+    SimTime calib = calib_ms > 0 ? from_ms(calib_ms) : base.duration / 8;
     std::string chosen;
     double chosen_calib_speed = 0;
     for (const auto& strat : strategies) {

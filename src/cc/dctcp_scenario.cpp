@@ -25,7 +25,6 @@ DctcpScenarioResult run_dctcp_scenario(const DctcpScenarioConfig& cfg) {
   inst.exec = cfg.exec;
   inst.profile = cfg.profile;
   inst.faults = cfg.faults;
-  inst.adaptive = cfg.adaptive;
   inst.ckpt = cfg.ckpt;
   if (inst.ckpt.enabled() && inst.ckpt.config_fp == 0) {
     inst.ckpt.config_fp = orch::ckpt_fingerprint("dctcp", cfg.duration);

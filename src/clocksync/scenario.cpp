@@ -21,7 +21,6 @@ ClockSyncScenarioResult run_clocksync_scenario(const ClockSyncScenarioConfig& cf
   inst.profile = cfg.profile;
   inst.faults = cfg.faults;
   inst.verify = cfg.verify;
-  inst.adaptive = cfg.adaptive;
   inst.ckpt = cfg.ckpt;
   if (inst.ckpt.enabled() && inst.ckpt.config_fp == 0) {
     inst.ckpt.config_fp = orch::ckpt_fingerprint("clocksync", cfg.duration);

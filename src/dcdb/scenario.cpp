@@ -18,7 +18,6 @@ DcdbScenarioResult run_dcdb_scenario(const DcdbScenarioConfig& cfg) {
   inst.profile = cfg.profile;
   inst.faults = cfg.faults;
   inst.verify = cfg.verify;
-  inst.adaptive = cfg.adaptive;
   inst.ckpt = cfg.ckpt;
   if (inst.ckpt.enabled() && inst.ckpt.config_fp == 0) {
     inst.ckpt.config_fp = orch::ckpt_fingerprint("dcdb", cfg.duration);

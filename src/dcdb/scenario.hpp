@@ -62,11 +62,6 @@ struct DcdbScenarioConfig {
   /// in DcdbScenarioResult::ops (value_ts = server commit timestamp).
   orch::VerifySpec verify;
 
-  /// Adaptive orchestration (partition=auto calibration, pooled epoch
-  /// rebalancing, sync-interval tuning), forwarded to
-  /// Instantiation::adaptive. Scheduling only; digests are unchanged.
-  orch::AdaptiveSpec adaptive;
-
   /// Checkpoint/restart plan, forwarded to Instantiation::ckpt. The
   /// scenario stamps config_fp (when unset) from the family name and
   /// duration so a snapshot cannot resume a different workload.

@@ -32,7 +32,6 @@ ScenarioResult run_kv_scenario(const ScenarioConfig& cfg) {
   inst.profile = cfg.profile;
   inst.faults = cfg.faults;
   inst.verify = cfg.verify;
-  inst.adaptive = cfg.adaptive;
   inst.ckpt = cfg.ckpt;
   if (inst.ckpt.enabled() && inst.ckpt.config_fp == 0) {
     inst.ckpt.config_fp = orch::ckpt_fingerprint("kv", cfg.duration);

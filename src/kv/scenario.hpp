@@ -58,11 +58,6 @@ struct ScenarioConfig {
   /// in ScenarioResult::ops (forwarded to Instantiation::verify).
   orch::VerifySpec verify;
 
-  /// Adaptive orchestration (partition=auto calibration, pooled epoch
-  /// rebalancing, sync-interval tuning), forwarded to
-  /// Instantiation::adaptive. Scheduling only — digests are unchanged.
-  orch::AdaptiveSpec adaptive;
-
   /// Checkpoint/restart plan, forwarded to Instantiation::ckpt. The
   /// scenario stamps config_fp (when unset) from the family name and
   /// duration so a snapshot cannot resume a different workload.

@@ -91,8 +91,8 @@ std::string summary_json(const SummaryInputs& in) {
     out += ",\"sched_polls\":" + std::to_string(st.sched_polls);
     out += ",\"sched_cycles\":" + std::to_string(st.sched_cycles);
     if (!st.pooled_workers.empty()) {
-      // Per-worker pooled scheduling stats: the load-imbalance view the
-      // adaptive rebalancer works from (empty for other run modes).
+      // Per-worker pooled scheduling stats: the load-imbalance view (empty
+      // for coscheduled runs).
       out += ",\"workers\":[";
       bool firstw = true;
       for (const runtime::PooledWorkerStats& w : st.pooled_workers) {
@@ -100,10 +100,8 @@ std::string summary_json(const SummaryInputs& in) {
         firstw = false;
         out += "{\"quanta\":" + std::to_string(w.quanta);
         out += ",\"busy_cycles\":" + std::to_string(w.busy_cycles);
-        out += ",\"steals\":" + std::to_string(w.steals);
         out += ",\"sched_parks\":" + std::to_string(w.sched_parks);
         out += ",\"sched_park_cycles\":" + std::to_string(w.sched_park_cycles);
-        out += ",\"migrations_in\":" + std::to_string(w.migrations_in);
         out += "}";
       }
       out += "]";
@@ -345,9 +343,8 @@ runtime::RunStats parse_run(const JsonValue& run) {
     if (!workers->is_array()) throw std::runtime_error("'workers' is not an array");
     for (const JsonValue& w : workers->array) {
       rs.pooled_workers.push_back({read_u64(w, "quanta"), read_u64(w, "busy_cycles"),
-                                   read_u64(w, "steals"), read_u64(w, "sched_parks"),
-                                   read_u64(w, "sched_park_cycles"),
-                                   read_u64(w, "migrations_in")});
+                                   read_u64(w, "sched_parks"),
+                                   read_u64(w, "sched_park_cycles")});
     }
   }
   const std::string& outcome = read_str(run, "outcome");

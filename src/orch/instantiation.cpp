@@ -1,5 +1,6 @@
 #include "orch/instantiation.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <stdexcept>
@@ -147,7 +148,6 @@ runtime::RunStats run_instantiated(runtime::Simulation& sim, const Instantiation
                                    SimTime end) {
   return run_profiled(sim, inst.profile, inst.exec, end,
                       inst.faults.any() ? &inst.faults : nullptr,
-                      inst.adaptive.enabled ? &inst.adaptive : nullptr,
                       inst.ckpt.enabled() ? &inst.ckpt : nullptr);
 }
 
@@ -255,7 +255,7 @@ obs::CkptSummary make_ckpt_summary(const ResolvedCkpt& rc, const ckpt::Collector
 
 runtime::RunStats run_profiled(runtime::Simulation& sim, const ProfileSpec& profile,
                                const ExecSpec& exec, SimTime end, const FaultSpec* faults,
-                               const AdaptiveSpec* adaptive, const CkptSpec* ckpt_spec) {
+                               const CkptSpec* ckpt_spec) {
   // Checkpoint resolution runs first: a bad resume source or incompatible
   // config must fail before anything simulates.
   ResolvedCkpt rc;
@@ -314,22 +314,6 @@ runtime::RunStats run_profiled(runtime::Simulation& sim, const ProfileSpec& prof
     run_mode = runtime::RunMode::kThreaded;
   }
 
-  // The controller lives on this frame, so it must be uninstalled on every
-  // exit path — a dangling controller pointer on the Simulation would be
-  // used by the next pooled run.
-  std::unique_ptr<AdaptiveController> controller;
-  if (adaptive != nullptr && adaptive->enabled && run_mode == runtime::RunMode::kPooled) {
-    controller = std::make_unique<AdaptiveController>(*adaptive, &sim.metrics());
-    sim.set_pooled_controller(controller.get(), adaptive->epoch_ms);
-  }
-  struct ControllerGuard {
-    runtime::Simulation& sim;
-    bool active;
-    ~ControllerGuard() {
-      if (active) sim.set_pooled_controller(nullptr);
-    }
-  } controller_guard{sim, controller != nullptr};
-
   // Checkpoint collector: hooks every active component at the boundary
   // grid; on a resume it also verifies the replay when it crosses the
   // snapshot boundary (throwing kCheckpoint out of the run on divergence).
@@ -362,6 +346,76 @@ runtime::RunStats run_profiled(runtime::Simulation& sim, const ProfileSpec& prof
   if (rc.active()) cks = make_ckpt_summary(rc, collector.get());
   write_run_artifacts(sim, artifacts, stats, rc.active() ? &cks : nullptr);
   return stats;
+}
+
+// ---- partition auto-selection --------------------------------------------
+
+namespace {
+
+/// The strategies "auto" chooses among (orch/partition.hpp names).
+const char* const kAutoCandidates[] = {"s", "ac", "cr3", "cr1", "rs"};
+
+/// Calibration quantum: this fraction of the real run, at least kMinQuantum
+/// (kNoDurationQuantum when the run length is unknown).
+constexpr SimTime kQuantumDivisor = 8;
+constexpr SimTime kMinQuantum = 200 * timeunit::us;
+constexpr SimTime kNoDurationQuantum = 2 * timeunit::ms;
+
+}  // namespace
+
+PartitionCalibration calibrate_partition(const System& sys, const Instantiation& inst,
+                                         SimTime full_duration) {
+  SimTime q = kNoDurationQuantum;
+  if (full_duration != 0) {
+    q = std::min(std::max(full_duration / kQuantumDivisor, kMinQuantum), full_duration);
+  }
+
+  PartitionCalibration out;
+  out.quantum = q;
+  for (const char* cand : kAutoCandidates) {
+    Instantiation trial = inst;
+    trial.exec.partition = cand;
+    // Calibration runs are throwaway: no artifacts, and no faults/verify —
+    // fault rules match channel names, which change with the partition,
+    // and apply_fault_spec fails loudly on unmatched rules.
+    trial.faults = FaultSpec{};
+    trial.verify = VerifySpec{};
+    trial.profile = ProfileSpec{};
+    trial.profile.perf_model = inst.profile.perf_model;
+
+    PartitionCandidate pc;
+    pc.name = cand;
+    try {
+      runtime::Simulation scratch;
+      instantiate_system(scratch, sys, trial);
+      runtime::RunStats st = scratch.run(q, trial.exec.run_mode, trial.exec.pool_workers);
+      if (trial.exec.run_mode == runtime::RunMode::kCoscheduled) {
+        // Coscheduled calibration measures per-component load, not real
+        // parallelism — rank by projected speed on the cost model, exactly
+        // how fig9 ranks strategies.
+        profiler::ProfileReport rep = profiler::build_report(st);
+        pc.score = profiler::project_sim_speed(rep, trial.profile.perf_model);
+      } else {
+        pc.score = st.wall_seconds > 0.0 ? to_sec(q) / st.wall_seconds : 0.0;
+      }
+    } catch (const runtime::SimulationError&) {
+      pc.failed = true;  // e.g. a strategy inapplicable to this topology
+    }
+    out.candidates.push_back(std::move(pc));
+  }
+
+  const PartitionCandidate* best = nullptr;
+  for (const auto& pc : out.candidates) {
+    if (pc.failed) continue;
+    if (best == nullptr || pc.score > best->score) best = &pc;
+  }
+  out.chosen = best != nullptr ? best->name : "s";
+  return out;
+}
+
+std::string resolve_auto_partition(const System& sys, const Instantiation& inst,
+                                   SimTime full_duration) {
+  return calibrate_partition(sys, inst, full_duration).chosen;
 }
 
 }  // namespace splitsim::orch

@@ -9,10 +9,10 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "hostsim/endhost.hpp"
 #include "netsim/topology.hpp"
-#include "orch/adaptive.hpp"
 #include "orch/fault.hpp"
 #include "orch/system.hpp"
 #include "orch/verify.hpp"
@@ -45,7 +45,7 @@ struct ExecSpec {
   /// ("s", "ac", "crN", "rs", "pn"; see orch/partition.hpp). Empty = one
   /// network process. Ignored when Instantiation::partitioner is set.
   /// "auto" calibrates candidate strategies with a short run and keeps
-  /// the best (orch/adaptive.hpp) — scenario families resolve it before
+  /// the best (calibrate_partition) — scenario families resolve it before
   /// their real instantiation; instantiate_system also resolves it as a
   /// fallback for hand-assembled systems with pure app installers.
   std::string partition;
@@ -152,12 +152,6 @@ struct Instantiation {
   /// with it on or off.
   VerifySpec verify;
 
-  /// Adaptive orchestration (orch/adaptive.hpp): partition calibration for
-  /// exec.partition == "auto", plus epoch rebalancing and sync-interval
-  /// tuning on pooled runs. Scheduling only — results are bit-identical to
-  /// a static instantiation.
-  AdaptiveSpec adaptive;
-
   /// Checkpoint/restart plan (src/ckpt/): periodic boundary snapshots
   /// and/or resuming from an earlier run's snapshot.
   CkptSpec ckpt;
@@ -223,9 +217,6 @@ runtime::RunStats run_instantiated(runtime::Simulation& sim, const Instantiation
 /// first from the partial RunStats attached to it — a run that dies hours
 /// in still leaves its profile on disk (summary.json records the outcome
 /// and the error).
-/// `adaptive`, when given and enabled, installs an AdaptiveController on
-/// pooled runs for the duration of the call (uninstalled on every exit
-/// path); other run modes ignore it.
 /// `ckpt`, when given and enabled, takes periodic boundary snapshots and/or
 /// resumes from an earlier snapshot (loading it, verifying config
 /// compatibility, replaying deterministically, and checking the replay
@@ -235,7 +226,6 @@ runtime::RunStats run_instantiated(runtime::Simulation& sim, const Instantiation
 runtime::RunStats run_profiled(runtime::Simulation& sim, const ProfileSpec& profile,
                                const ExecSpec& exec, SimTime end,
                                const FaultSpec* faults = nullptr,
-                               const AdaptiveSpec* adaptive = nullptr,
                                const CkptSpec* ckpt = nullptr);
 
 /// Write every artifact requested by `profile` (trace.json, metrics.json,
@@ -248,5 +238,41 @@ runtime::RunStats run_profiled(runtime::Simulation& sim, const ProfileSpec& prof
 void write_run_artifacts(runtime::Simulation& sim, const ProfileSpec& profile,
                          const runtime::RunStats& stats,
                          const obs::CkptSummary* ckpt = nullptr);
+
+// ---- partition auto-selection (ExecSpec::partition == "auto") -----------
+
+/// One candidate's calibration outcome.
+struct PartitionCandidate {
+  std::string name;
+  /// Projected simulation speed for coscheduled calibration runs
+  /// (profiler::project_sim_speed — ranks strategies the way fig9 does),
+  /// measured sim-seconds-per-wall-second otherwise. Higher is better.
+  double score = 0.0;
+  bool failed = false;  ///< candidate run threw (scored last)
+};
+
+struct PartitionCalibration {
+  std::string chosen;
+  SimTime quantum = 0;  ///< simulated time each candidate ran for
+  std::vector<PartitionCandidate> candidates;
+};
+
+/// Run a short calibration quantum of `sys` under each of the strategies
+/// s, ac, cr3, cr1 and rs and rank them. The quantum is `full_duration`/8
+/// (the intended real-run length; at least 200 us, at most the whole run),
+/// or 2 ms when `full_duration` is 0.
+///
+/// Each candidate gets a scratch Simulation via instantiate_system with
+/// faults/verify/artifacts stripped (fault rules match channel names,
+/// which change with the partition). Caveat: application installers run
+/// once per candidate — callers whose installers capture external state
+/// (the scenario families' client collectors) must clear that state after
+/// calibration, before the real instantiation.
+PartitionCalibration calibrate_partition(const System& sys, const Instantiation& inst,
+                                         SimTime full_duration = 0);
+
+/// calibrate_partition, reduced to the winning strategy name.
+std::string resolve_auto_partition(const System& sys, const Instantiation& inst,
+                                   SimTime full_duration = 0);
 
 }  // namespace splitsim::orch

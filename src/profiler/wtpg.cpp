@@ -55,54 +55,4 @@ std::string format_wtpg(const ProfileReport& report, double min_edge_fraction) {
   return os.str();
 }
 
-// ---- LiveWtpg ----------------------------------------------------------
-
-LiveWtpg::Acc& LiveWtpg::find_or_add(const std::string& from, const std::string& to) {
-  for (auto& a : accs_) {
-    if (a.from == from && a.to == to) return a;
-  }
-  accs_.push_back(Acc{from, to, 0, 0.0});
-  return accs_.back();
-}
-
-void LiveWtpg::add_wait(const std::string& from, const std::string& to, std::uint64_t cycles) {
-  find_or_add(from, to).pending += cycles;
-}
-
-void LiveWtpg::end_epoch(std::uint64_t wall_cycles) {
-  if (wall_cycles == 0) {
-    for (auto& a : accs_) a.pending = 0;
-    return;
-  }
-  for (auto& a : accs_) {
-    double frac = static_cast<double>(a.pending) / static_cast<double>(wall_cycles);
-    if (frac > 1.0) frac = 1.0;  // TSC skew across workers can overshoot
-    a.ewma = alpha_ * frac + (1.0 - alpha_) * a.ewma;
-    a.pending = 0;
-  }
-}
-
-std::vector<LiveWtpg::Edge> LiveWtpg::edges(double min_fraction) const {
-  std::vector<Edge> out;
-  for (const auto& a : accs_) {
-    if (a.ewma < min_fraction) continue;
-    out.push_back(Edge{a.from, a.to, a.ewma});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Edge& x, const Edge& y) { return x.wait_fraction > y.wait_fraction; });
-  return out;
-}
-
-std::string LiveWtpg::format(double min_fraction) const {
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& e : edges(min_fraction)) {
-    if (!first) os << ", ";
-    os << e.from << "->" << e.to << " " << std::fixed << std::setprecision(2)
-       << e.wait_fraction;
-    first = false;
-  }
-  return os.str();
-}
-
 }  // namespace splitsim::profiler

@@ -5,9 +5,7 @@
 // red nodes rarely wait — they are the bottleneck.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "profiler/profiler.hpp"
 #include "util/dot.hpp"
@@ -20,54 +18,5 @@ DotGraph build_wtpg(const ProfileReport& report, const std::string& graph_name =
 /// Compact textual rendering (nodes sorted by waiting fraction, edges with
 /// non-negligible waiting), for terminals without GraphViz.
 std::string format_wtpg(const ProfileReport& report, double min_edge_fraction = 0.01);
-
-/// Live (mid-run) wait-time profile: the same edge accounting as the
-/// post-run WTPG, accumulated epoch by epoch with exponential decay so the
-/// picture tracks the *current* bottleneck instead of the whole-run
-/// average. Fed by the pooled runner's per-epoch blocked-wait attribution
-/// (runtime::PooledEpochWait) and consumed by the adaptive controller
-/// (orch/adaptive.hpp) to decide rebalances and sync-interval retunes.
-///
-/// Single-threaded by design: the controller calls add_wait/end_epoch under
-/// the pooled scheduler lock.
-class LiveWtpg {
- public:
-  /// `alpha` is the EWMA weight of the newest epoch in [0,1]; 1 = only the
-  /// last epoch matters, small values smooth over transient stalls.
-  explicit LiveWtpg(double alpha = 0.5) : alpha_(alpha) {}
-
-  struct Edge {
-    std::string from;       ///< waiting component
-    std::string to;         ///< peer it waited on
-    double wait_fraction;   ///< EWMA of wait_cycles / epoch wall_cycles
-  };
-
-  /// Accumulate blocked-wait cycles for the current epoch on edge from→to.
-  void add_wait(const std::string& from, const std::string& to, std::uint64_t cycles);
-
-  /// Close the current epoch (`wall_cycles` = its wall-clock length) and
-  /// fold the per-edge fractions into the EWMA. Edges with no wait this
-  /// epoch decay toward zero.
-  void end_epoch(std::uint64_t wall_cycles);
-
-  /// Current edges, hottest first (edges decayed below `min_fraction` are
-  /// dropped from the result, not from the internal state).
-  std::vector<Edge> edges(double min_fraction = 0.005) const;
-
-  /// Compact textual rendering of edges() for logs and trace annotations.
-  std::string format(double min_fraction = 0.01) const;
-
- private:
-  struct Acc {
-    std::string from;
-    std::string to;
-    std::uint64_t pending = 0;  ///< cycles accumulated this epoch
-    double ewma = 0.0;
-  };
-  Acc& find_or_add(const std::string& from, const std::string& to);
-
-  double alpha_;
-  std::vector<Acc> accs_;  ///< small edge sets: linear scan beats a map
-};
 
 }  // namespace splitsim::profiler

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 
 #include "runtime/error.hpp"
 #include "sync/wait.hpp"
@@ -32,11 +31,7 @@ class PooledRunner {
  public:
   PooledRunner(const std::vector<Component*>& components, const PeerIndex& peers,
                const PooledOptions& opts, RunAbort& abort)
-      : watchdog_cycles_(opts.watchdog_cycles),
-        affinity_(opts.controller != nullptr),
-        controller_(opts.controller),
-        epoch_cycles_(opts.epoch_cycles),
-        abort_(abort) {
+      : watchdog_cycles_(opts.watchdog_cycles), abort_(abort) {
     slots_.resize(components.size());
     for (std::size_t i = 0; i < components.size(); ++i) {
       slots_[i].comp = components[i];
@@ -55,27 +50,7 @@ class PooledRunner {
     workers_ = std::max(1u, std::min<unsigned>(w, static_cast<unsigned>(slots_.size())));
     spin_ = workers_ == slots_.size();
     ws_.assign(workers_, PooledWorkerStats{});
-
-    if (affinity_) wq_.resize(workers_);
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      slots_[i].home = static_cast<unsigned>(i % workers_);
-      enqueue_locked(i);  // pre-run: no other thread exists yet
-    }
-
-    if (controller_ != nullptr && epoch_cycles_ == 0) {
-      epoch_cycles_ = cycles_per_second() / 100;  // 10 ms default epoch
-    }
-
-    // Per-adapter wait attribution for the epoch view.
-    if (controller_ != nullptr) {
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        for (auto& a : slots_[i].comp->adapters()) {
-          aindex_[a.get()] = ainfos_.size();
-          ainfos_.push_back(AdapterInfo{a.get(), i, 0});
-        }
-      }
-    }
-    epoch_start_ = rdcycles();
+    for (std::size_t i = 0; i < slots_.size(); ++i) ready_.push_back(i);
   }
 
   /// Run every worker to the end (or the abort); errors stay in abort_.
@@ -98,21 +73,14 @@ class PooledRunner {
     /// Set when a peer progressed while this component was running; it is
     /// re-enqueued instead of parking so the wake is never lost.
     bool dirty = false;
-    /// Home worker under affinity scheduling (epoch migrations retarget it).
-    unsigned home = 0;
     std::vector<std::size_t> peers;
     /// Blocked-wait attribution for the profiler: the adapter that limited
-    /// the safe bound when the component parked. `blocked_since` is the
-    /// start of the not-yet-folded wait interval — epoch boundaries fold the
-    /// accrued wait and advance it, while `park_t0` keeps the instant the
-    /// wait began (before any spin) so the trace span covers all of it. TSC
-    /// deltas across workers are approximate, which is fine for profiling.
+    /// the safe bound when a quantum ended blocked, and the instant the wait
+    /// began (before any spin, so one span and one charge cover all of it).
+    /// TSC deltas across workers are approximate, which is fine for
+    /// profiling.
     sync::Adapter* wait_attr = nullptr;
-    std::uint64_t blocked_since = 0;
-    std::uint64_t park_t0 = 0;
-    /// Per-epoch accumulators (reset at each controller boundary).
-    std::uint64_t epoch_busy = 0;
-    std::uint64_t epoch_wait = 0;
+    std::uint64_t wait_t0 = 0;
     /// Simulation time observed at the end of this slot's last quantum,
     /// written under the scheduler lock by the owning worker (so the
     /// watchdog never probes a component another thread is running), and
@@ -122,13 +90,6 @@ class PooledRunner {
     SimTime watch_time = 0;
     std::uint64_t watch_since = 0;
     std::uint64_t watch_quanta = 0;
-  };
-
-  /// Epoch wait attribution for one adapter.
-  struct AdapterInfo {
-    sync::Adapter* adapter = nullptr;
-    std::size_t slot = 0;
-    std::uint64_t epoch_wait = 0;
   };
 
   /// How one scheduling quantum ended (run_quantum). Neither finished nor
@@ -143,47 +104,9 @@ class PooledRunner {
     std::uint64_t wait_cycles = 0;  ///< spun inside the quantum: wait, not busy
   };
 
-  // ---- ready queue (global or per-worker affinity) ---------------------
-
   void enqueue_locked(std::size_t i) {
-    if (affinity_) {
-      wq_[slots_[i].home].push_back(i);
-    } else {
-      ready_.push_back(i);
-    }
-    ++queued_;
-  }
-
-  /// Pop the next runnable slot for worker `me`: own queue first, then steal
-  /// from the worker with the longest backlog so no work ever strands on a
-  /// busy worker's queue. Returns false when nothing is queued anywhere.
-  bool pop_ready_locked(unsigned me, std::size_t& idx) {
-    if (queued_ == 0) return false;
-    if (!affinity_) {
-      idx = ready_.front();
-      ready_.pop_front();
-      --queued_;
-      return true;
-    }
-    if (!wq_[me].empty()) {
-      idx = wq_[me].front();
-      wq_[me].pop_front();
-      --queued_;
-      return true;
-    }
-    unsigned victim = workers_;
-    std::size_t longest = 0;
-    for (unsigned w = 0; w < workers_; ++w) {
-      if (w == me || wq_[w].size() <= longest) continue;
-      longest = wq_[w].size();
-      victim = w;
-    }
-    if (victim == workers_) return false;
-    idx = wq_[victim].front();
-    wq_[victim].pop_front();
-    --queued_;
-    ++ws_[me].steals;
-    return true;
+    ready_.push_back(i);
+    cv_.notify_one();
   }
 
   void worker_entry(unsigned me) {
@@ -204,22 +127,26 @@ class PooledRunner {
         std::unique_lock<std::mutex> l(mu_);
         for (;;) {
           if (abort_.aborted() || live_ == 0) return;
-          if (pop_ready_locked(me, idx)) break;
+          if (!ready_.empty()) break;
           std::uint64_t w0 = rdcycles();
           cv_.wait(l);
           ws_[me].sched_park_cycles += rdcycles() - w0;
           ++ws_[me].sched_parks;
         }
+        idx = ready_.front();
+        ready_.pop_front();
         Slot& s = slots_[idx];
         s.state = St::kRunning;
         s.dirty = false;
         ++running_;
         if (s.wait_attr != nullptr) {
+          // The slot was not running, and every ownership hand-off goes
+          // through mu_, so the adapter's plain counters race with no one.
           std::uint64_t woke = rdcycles();
-          fold_wait_locked(s, woke);
+          if (woke > s.wait_t0) s.wait_attr->add_wait_cycles(woke - s.wait_t0);
           // Recorded on the component's track even though this worker may
           // not be the one that parked it: records carry the track.
-          trace_wait(*s.comp, *s.wait_attr, s.park_t0, woke);
+          trace_wait(*s.comp, *s.wait_attr, s.wait_t0, woke);
           s.wait_attr = nullptr;
         }
       }
@@ -246,7 +173,6 @@ class PooledRunner {
           std::lock_guard<std::mutex> l(mu_);
           ++ws_[me].quanta;
           ws_[me].busy_cycles += qcycles;
-          s.epoch_busy += qcycles;
           s.sim_time = sim_snap;
           if (q.remote) {
             // Stays kRunning: this worker keeps it for the remote wait below.
@@ -255,93 +181,30 @@ class PooledRunner {
             if (q.finished) {
               s.state = St::kFinished;
               if (--live_ == 0) cv_.notify_all();
-            } else if (q.runnable || s.dirty) {
-              s.state = St::kReady;
-              s.dirty = false;
-              enqueue_locked(idx);
-              cv_.notify_one();
             } else {
-              s.state = St::kBlocked;
-              parked_[idx].store(true, std::memory_order_relaxed);
-              s.wait_attr = q.poll.limiter;
-              s.blocked_since = rdcycles();
-              s.park_t0 = q.wait_t0 != 0 ? q.wait_t0 : s.blocked_since;
+              if (!q.runnable) {
+                // Blocked: the wait, spin included, lasts until the next pop.
+                s.wait_attr = q.poll.limiter;
+                s.wait_t0 = q.wait_t0 != 0 ? q.wait_t0 : rdcycles();
+              }
+              if (q.runnable || s.dirty) {
+                s.state = St::kReady;
+                s.dirty = false;
+                enqueue_locked(idx);
+              } else {
+                s.state = St::kBlocked;
+                parked_[idx].store(true, std::memory_order_relaxed);
+              }
             }
           }
           if (q.progressed) publish_locked(s);
-          if (controller_ != nullptr && live_ > 0) {
-            std::uint64_t now2 = rdcycles();
-            if (now2 - epoch_start_ >= epoch_cycles_) do_epoch_locked(now2);
-          }
-          if (live_ > 0 && running_ == 0 && queued_ == 0) rescue_scan_locked();
+          if (live_ > 0 && running_ == 0 && ready_.empty()) rescue_scan_locked();
           if (watchdog_cycles_ != 0) watchdog_check_locked(s);
         }
         if (q.finished) drain(*c);
         if (!q.remote) break;
         wait_on_worker(*c, q);  // returns once the poll changed, or on abort
       }
-    }
-  }
-
-  /// Fold the accrued blocked-wait interval of `s` into the profiler
-  /// counters and the epoch accumulators, then advance the interval start.
-  /// Only called under the scheduler lock while the slot is not running
-  /// (kBlocked, or just popped from ready) — the adapter's plain counters
-  /// race with no one: every ownership hand-off goes through mu_, which
-  /// orders these writes before the next quantum.
-  void fold_wait_locked(Slot& s, std::uint64_t now) {
-    if (s.wait_attr == nullptr || now <= s.blocked_since) return;
-    std::uint64_t delta = now - s.blocked_since;
-    s.blocked_since = now;
-    s.wait_attr->add_wait_cycles(delta);
-    s.epoch_wait += delta;
-    auto it = aindex_.find(s.wait_attr);
-    if (it != aindex_.end()) ainfos_[it->second].epoch_wait += delta;
-  }
-
-  /// Epoch boundary (under the scheduler lock): fold still-parked waits,
-  /// snapshot per-slot busy/wait deltas and per-adapter wait attribution
-  /// into the reusable epoch view, hand it to the controller, then apply
-  /// the migrations it requested (home reassignment only — queued and
-  /// running slots keep their current position and land on the new home at
-  /// their next re-enqueue).
-  void do_epoch_locked(std::uint64_t now) {
-    for (auto& s : slots_) {
-      if (s.state == St::kBlocked) fold_wait_locked(s, now);
-    }
-    epoch_.index = epoch_index_++;
-    epoch_.wall_cycles = now - epoch_start_;
-    epoch_.workers = workers_;
-    epoch_.worker_stats = &ws_;
-    epoch_.slots.clear();
-    epoch_.waits.clear();
-    epoch_.migrations.clear();
-    for (auto& s : slots_) {
-      PooledEpochSlot es;
-      es.comp = s.comp;
-      es.home = s.home;
-      es.busy_cycles = s.epoch_busy;
-      es.wait_cycles = s.epoch_wait;
-      es.blocked = s.state == St::kBlocked;
-      es.finished = s.state == St::kFinished;
-      es.sim_time = s.sim_time;
-      epoch_.slots.push_back(es);
-      s.epoch_busy = 0;
-      s.epoch_wait = 0;
-    }
-    for (auto& ai : ainfos_) {
-      if (ai.epoch_wait == 0) continue;
-      epoch_.waits.push_back(PooledEpochWait{slots_[ai.slot].comp, ai.adapter, ai.epoch_wait});
-      ai.epoch_wait = 0;
-    }
-    epoch_start_ = now;
-    controller_->on_epoch(epoch_);
-    for (const auto& m : epoch_.migrations) {
-      if (m.slot >= slots_.size() || m.to_worker >= workers_) continue;
-      Slot& s = slots_[m.slot];
-      if (s.home == m.to_worker || s.state == St::kFinished) continue;
-      s.home = m.to_worker;
-      ++ws_[m.to_worker].migrations_in;
     }
   }
 
@@ -433,9 +296,13 @@ class PooledRunner {
       progress_.fetch_add(1, std::memory_order_relaxed);
       remote_waiting_.fetch_sub(1, std::memory_order_acq_rel);
     }
-    std::uint64_t t1 = rdcycles();
-    blocked.limiter->add_wait_cycles(t1 - q.wait_t0);
-    if (changed) trace_wait(c, *blocked.limiter, q.wait_t0, t1);
+    // A local wait that spun out continues after the quantum; the next pop
+    // charges and traces it whole from q.wait_t0.
+    if (changed || q.remote) {
+      std::uint64_t t1 = rdcycles();
+      blocked.limiter->add_wait_cycles(t1 - q.wait_t0);
+      if (changed) trace_wait(c, *blocked.limiter, q.wait_t0, t1);
+    }
     return changed;
   }
 
@@ -478,7 +345,6 @@ class PooledRunner {
         ps.state = St::kReady;
         parked_[p].store(false, std::memory_order_relaxed);
         enqueue_locked(p);
-        cv_.notify_one();
       } else if (ps.state == St::kRunning) {
         ps.dirty = true;
       }
@@ -505,7 +371,6 @@ class PooledRunner {
         s.state = St::kReady;
         parked_[i].store(false, std::memory_order_relaxed);
         enqueue_locked(i);
-        cv_.notify_one();
         woke = true;
       } else if (worst == nullptr || p.next < worst_p.next) {
         worst = c;
@@ -552,27 +417,14 @@ class PooledRunner {
   unsigned workers_ = 1;
   /// One worker per component: blocked components spin before parking.
   bool spin_ = false;
-  /// Per-worker affinity queues with work stealing. A controller needs
-  /// stable homes to migrate between, so it turns them on.
-  const bool affinity_;
-
-  PooledController* const controller_;
-  std::uint64_t epoch_cycles_;
-  std::uint64_t epoch_start_ = 0;
-  std::uint64_t epoch_index_ = 0;
-  PooledEpoch epoch_;  ///< reused view; only touched in do_epoch_locked
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::size_t> ready_;            ///< global queue (non-affinity)
-  std::vector<std::deque<std::size_t>> wq_;  ///< per-worker queues (affinity)
-  std::size_t queued_ = 0;                   ///< total entries across queues
+  std::deque<std::size_t> ready_;
   std::vector<Slot> slots_;
   /// slots_[i].state == kBlocked, readable without the lock (peer_parked).
   std::vector<std::atomic<bool>> parked_;
   std::vector<PooledWorkerStats> ws_;
-  std::vector<AdapterInfo> ainfos_;
-  std::unordered_map<const sync::Adapter*, std::size_t> aindex_;
   std::size_t live_ = 0;
   std::size_t running_ = 0;  ///< components owned by a worker (remote waits too)
   /// Components in remote_wait, and a count of events that can raise a

@@ -1,7 +1,6 @@
 // The worker pool behind RunMode::kPooled and RunMode::kThreaded: N workers
-// multiplex M components with a horizon-based ready queue. Threaded is the
-// pool with one worker per component (one simulator per core, SimBricks'
-// shape).
+// multiplex M components through one FIFO ready queue. Threaded is the pool
+// with one worker per component (one simulator per core, SimBricks' shape).
 //
 //   * A component runs while its earliest action is within the safe bound
 //     of its inbound horizons (the Poll rule, runtime/component.hpp). When
@@ -25,16 +24,6 @@
 //     slow-progress watchdog catches a component that runs without
 //     advancing.
 //
-// Adaptive orchestration hooks (orch/adaptive.hpp): when a PooledController
-// is installed, scheduling switches to per-worker affinity queues (each slot
-// has a home worker; idle workers steal from the longest backlog so no work
-// ever strands), and the controller is invoked at wall-clock epoch
-// boundaries under the scheduler lock with a per-epoch load/wait view. The
-// controller may migrate components between workers — a slot-home
-// reassignment, not a state copy, because components are already
-// quantum-scoped here — and since conservative synchronization makes any
-// safe execution order equivalent, none of this can change results.
-//
 // Determinism: workers only ever run a component exclusively (ownership is
 // handed over through the scheduler mutex), and conservative synchronization
 // makes any safe execution order produce bit-identical simulation results —
@@ -53,65 +42,13 @@
 namespace splitsim::runtime {
 
 /// Per-worker scheduling statistics. Kept per worker (not per pool) so load
-/// imbalance is visible to the rebalancer and to users via RunStats /
-/// summary.json. All fields are maintained under the scheduler lock.
+/// imbalance is visible to users via RunStats / summary.json. All fields
+/// are maintained under the scheduler lock.
 struct PooledWorkerStats {
   std::uint64_t quanta = 0;            ///< scheduling quanta executed
   std::uint64_t busy_cycles = 0;       ///< cycles inside component quanta
-  std::uint64_t steals = 0;            ///< quanta popped from another worker's queue
   std::uint64_t sched_parks = 0;       ///< times this worker parked on the cv
   std::uint64_t sched_park_cycles = 0; ///< cycles spent parked (idle)
-  std::uint64_t migrations_in = 0;     ///< components migrated onto this worker
-};
-
-/// One component's view in a controller epoch (deltas since the previous
-/// epoch boundary).
-struct PooledEpochSlot {
-  Component* comp = nullptr;
-  unsigned home = 0;                 ///< current home worker
-  std::uint64_t busy_cycles = 0;     ///< compute this epoch
-  std::uint64_t wait_cycles = 0;     ///< parked-blocked time this epoch
-  bool blocked = false;              ///< parked at the boundary
-  bool finished = false;
-  SimTime sim_time = 0;              ///< last published simulation time
-};
-
-/// Blocked-wait attribution per adapter this epoch: `comp` parked waiting on
-/// `adapter` (whose peer limited the safe bound) for `cycles`.
-struct PooledEpochWait {
-  Component* comp = nullptr;
-  sync::Adapter* adapter = nullptr;
-  std::uint64_t cycles = 0;
-};
-
-/// Epoch view handed to PooledController::on_epoch under the scheduler
-/// lock. The controller reads loads/waits, then requests migrations by
-/// appending to `migrations`; the runner applies them (validated) after the
-/// callback returns.
-struct PooledEpoch {
-  std::uint64_t index = 0;        ///< epoch number, starting at 0
-  std::uint64_t wall_cycles = 0;  ///< wall cycles since the previous boundary
-  unsigned workers = 1;
-  std::vector<PooledEpochSlot> slots;
-  std::vector<PooledEpochWait> waits;
-  const std::vector<PooledWorkerStats>* worker_stats = nullptr;  ///< cumulative
-
-  struct Migration {
-    std::size_t slot = 0;
-    unsigned to_worker = 0;
-  };
-  std::vector<Migration> migrations;  ///< filled by the controller
-};
-
-/// Epoch-boundary hook for adaptive orchestration. on_epoch runs under the
-/// scheduler lock on whichever worker crossed the boundary: keep it cheap,
-/// never block, and never call back into the runner. Component pointers in
-/// the view may only be used for immutable reads (name, adapters wiring) —
-/// other slots' owners may be running concurrently.
-class PooledController {
- public:
-  virtual ~PooledController() = default;
-  virtual void on_epoch(PooledEpoch& epoch) = 0;
 };
 
 struct PooledOptions {
@@ -126,13 +63,6 @@ struct PooledOptions {
   /// deadlock rescue scan, which only fires when nothing is runnable). The
   /// same window bounds the remote-wait deadlock check. 0 = disabled.
   std::uint64_t watchdog_cycles = 0;
-
-  /// Epoch-boundary controller (adaptive orchestration); turns on per-worker
-  /// affinity queues with work stealing. Must outlive the run. nullptr = no
-  /// epochs and one global ready queue.
-  PooledController* controller = nullptr;
-  /// Wall-clock epoch length in TSC cycles (only with a controller).
-  std::uint64_t epoch_cycles = 0;
 };
 
 /// First-error-wins failure slot of a pooled run. The workers, the blocking

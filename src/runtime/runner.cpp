@@ -357,6 +357,15 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
     if (obs_.trace) obs::stop_tracing();  // data stays exportable
   });
 
+  // Outside the timed region: the first cycles_per_second() call sleeps.
+  // Coscheduled runs do not need the watchdog and never calibrate here.
+  PooledOptions opts;
+  if (mode != RunMode::kCoscheduled) {
+    // Threaded is the pool with one worker per component.
+    opts.workers = mode == RunMode::kThreaded ? static_cast<unsigned>(active.size()) : workers;
+    opts.watchdog_cycles = ms_to_cycles(watchdog_ms_);
+  }
+
   auto wall_start = std::chrono::steady_clock::now();
   std::uint64_t cyc_start = rdcycles();
 
@@ -367,14 +376,6 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
     if (mode == RunMode::kCoscheduled) {
       run_coscheduled(active, peers, end);
     } else {
-      PooledOptions opts;
-      // Threaded is the pool with one worker per component.
-      opts.workers = mode == RunMode::kThreaded ? static_cast<unsigned>(active.size()) : workers;
-      opts.watchdog_cycles = ms_to_cycles(watchdog_ms_);
-      if (mode == RunMode::kPooled && pooled_controller_ != nullptr) {
-        opts.controller = pooled_controller_;
-        opts.epoch_cycles = ms_to_cycles(pooled_epoch_ms_);
-      }
       // A failure fail_run() reported before the run started aborts it at
       // once; the slot is cleared for the next run on every exit path.
       ScopeGuard clear_abort([this] { abort_.reset(); });

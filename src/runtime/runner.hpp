@@ -82,9 +82,8 @@ struct RunStats {
   EventDigest digest;  ///< whole-run determinism digest (merged components)
   std::vector<ComponentStats> components;
   /// Per-worker scheduling stats from a pooled or threaded run (empty for
-  /// coscheduled): quanta, busy/park cycles, steals, migrations — the
-  /// load-imbalance view the adaptive rebalancer works from, also emitted
-  /// into summary.json.
+  /// coscheduled): quanta and busy/park cycles — the load-imbalance view,
+  /// also emitted into summary.json.
   std::vector<PooledWorkerStats> pooled_workers;
   /// Coscheduled runner overhead (0 in other modes). sched_polls counts
   /// its Component::poll() calls and is deterministic; sched_cycles is
@@ -163,16 +162,6 @@ class Simulation {
   /// Metrics registry backing the last/next run (live while running).
   obs::Registry& metrics() { return metrics_; }
 
-  /// Install an epoch-boundary controller for subsequent pooled runs
-  /// (adaptive orchestration; see orch/adaptive.hpp). The controller is
-  /// invoked under the pooled scheduler lock every `epoch_ms` of wall time
-  /// and may migrate components between workers. nullptr uninstalls.
-  /// Ignored by the threaded and coscheduled modes.
-  void set_pooled_controller(PooledController* c, std::uint64_t epoch_ms = 10) {
-    pooled_controller_ = c;
-    pooled_epoch_ms_ = epoch_ms;
-  }
-
   /// Periodic metrics snapshots from the last run, ending with one final
   /// end-of-run snapshot (empty when metrics were off).
   const std::vector<obs::MetricsSnapshot>& metrics_series() const { return metrics_series_; }
@@ -213,8 +202,6 @@ class Simulation {
   std::vector<obs::MetricsSnapshot> metrics_series_;
   /// Interned track ids for trunk counter tracks (reporter thread only).
   std::unordered_map<std::string, std::uint32_t> counter_track_ids_;
-  PooledController* pooled_controller_ = nullptr;
-  std::uint64_t pooled_epoch_ms_ = 10;
   std::vector<PooledWorkerStats> pooled_workers_;  ///< filled by pooled runs
   std::uint64_t sched_polls_ = 0;   ///< filled by coscheduled runs
   std::uint64_t sched_cycles_ = 0;  ///< filled by coscheduled runs

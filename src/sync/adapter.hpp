@@ -27,7 +27,8 @@ class Adapter {
   /// Invoked for each incoming data message at its receive time.
   using Handler = std::function<void(const Message&, SimTime rx_time)>;
 
-  Adapter(std::string name, ChannelEnd& end) : name_(std::move(name)), end_(&end) {}
+  Adapter(std::string name, ChannelEnd& end)
+      : name_(std::move(name)), end_(&end), due_(end.effective_sync_interval()) {}
   virtual ~Adapter() = default;
 
   Adapter(const Adapter&) = delete;
@@ -128,19 +129,14 @@ class Adapter {
   /// Due times snap to the global `interval` grid: peers with equal
   /// intervals emit syncs at the same instants, so a component with many
   /// channels (e.g., a memory process serving dozens of cores) handles one
-  /// batched sync round per window instead of one batch per peer. The
-  /// interval is read through the channel's live override (adaptive
-  /// orchestration may retune it mid-run); any interval in [1, latency]
-  /// keeps (last_sent/I + 1)*I strictly ahead of last_sent, so re-gridding
-  /// mid-run never stalls or reorders the wire. Every poll asks, so the
-  /// result is cached until last_sent or the interval changes.
+  /// batched sync round per window instead of one batch per peer. Every
+  /// poll asks, so the result is cached until last_sent changes.
   SimTime next_sync_due() const {
     if (!end_->has_sent()) return 0;
     const SimTime last = end_->last_sent();
-    const SimTime interval = end_->effective_sync_interval();
-    if (last != due_last_sent_ || interval != due_interval_) {
+    if (last != due_last_sent_) {
+      const SimTime interval = end_->effective_sync_interval();
       due_last_sent_ = last;
-      due_interval_ = interval;
       due_ = (last / interval + 1) * interval;
     }
     return due_;
@@ -257,11 +253,10 @@ class Adapter {
   EventDigest digest_;
   std::unique_ptr<ChannelFaultInjector> fault_;  ///< null = injection off
   std::uint64_t channel_hash_ = 0;
-  // next_sync_due() cache, keyed on (last_sent, interval); an interval of
-  // 0 never occurs, so the first call always computes.
+  // next_sync_due() cache, keyed on last_sent; it starts as the due time
+  // for last_sent 0 (one interval).
   mutable SimTime due_last_sent_ = 0;
-  mutable SimTime due_interval_ = 0;
-  mutable SimTime due_ = 0;
+  mutable SimTime due_;
   std::uint32_t trace_track_ = 0;
   std::uint32_t peer_trace_track_ = 0;
 };

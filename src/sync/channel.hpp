@@ -204,12 +204,9 @@ class ChannelEnd {
   /// because every runner poll reads it.
   SimTime horizon() const { return horizon_; }
 
-  /// Sync interval currently in force on this end: the channel's tuned
-  /// override when one is set (adaptive orchestration), otherwise the
-  /// configured effective interval. Always within [1, latency], so SYNC
-  /// placement stays legal whatever the controller chooses. Defined after
-  /// Channel below.
-  SimTime effective_sync_interval() const;
+  /// The channel's configured sync interval
+  /// (ChannelConfig::effective_sync_interval).
+  SimTime effective_sync_interval() const { return config().effective_sync_interval(); }
 
  private:
   friend class Channel;
@@ -307,33 +304,12 @@ class Channel {
   /// default) restores unconditional blocking.
   void set_abort_flag(const std::atomic<bool>* abort) { abort_ = abort; }
 
-  /// Adaptive sync-interval override (orch/adaptive.hpp). 0 clears the
-  /// override (back to the configured interval); any other value is clamped
-  /// to [1, latency] — the legal range where SYNCs both make progress and
-  /// never promise beyond the lookahead. Safe to call mid-run from another
-  /// thread: SYNC placement only affects scheduling/horizons, never data
-  /// timestamps (see ChannelEnd::send), so results and EventDigests are
-  /// bit-identical whatever interval sequence a controller applies.
-  void set_tuned_sync_interval(SimTime si) {
-    if (si != 0) {
-      if (si > cfg_.latency) si = cfg_.latency;
-      if (si == 0) si = 1;  // latency 0 would clamp to 0: keep the override live
-    }
-    tuned_sync_interval_.store(si, std::memory_order_relaxed);
-  }
-  SimTime tuned_sync_interval() const {
-    return tuned_sync_interval_.load(std::memory_order_relaxed);
-  }
-
  private:
   friend class ChannelEnd;
 
   std::string name_;
   ChannelConfig cfg_;
   ChannelMode mode_ = ChannelMode::kBlocking;
-  /// Live sync-interval override; 0 = none. Relaxed atomic: written by the
-  /// adaptive controller, read by the owning components' send paths.
-  std::atomic<SimTime> tuned_sync_interval_{0};
   const std::atomic<bool>* abort_ = nullptr;  ///< see set_abort_flag
   std::unique_ptr<Transport> transport_;      ///< owns the rings / data path
   std::deque<Message> a_spill_;
@@ -351,11 +327,6 @@ class Channel {
 };
 
 inline const ChannelConfig& ChannelEnd::config() const { return channel_->cfg_; }
-
-inline SimTime ChannelEnd::effective_sync_interval() const {
-  SimTime t = channel_->tuned_sync_interval_.load(std::memory_order_relaxed);
-  return t != 0 ? t : config().effective_sync_interval();
-}
 
 template <typename F>
 std::size_t ChannelEnd::drain_until(SimTime wire_limit, F&& on_data) {

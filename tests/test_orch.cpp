@@ -237,3 +237,79 @@ TEST(NativeParallelTest, NativeBackendsBurnMoreCycles) {
   EXPECT_GT(busy(netsim::ParallelBackend::kNs3Native), split);
   EXPECT_GT(busy(netsim::ParallelBackend::kOmnetNative), split);
 }
+
+// ---- partition auto-selection -------------------------------------------
+
+namespace {
+
+/// A fig9-shaped System (core + per-"agg" switches + rack hosts) with
+/// stateless installers, so calibration can instantiate it repeatedly.
+orch::System make_fabric_system(int aggs, int hosts_per_agg) {
+  orch::System sys;
+  int core = sys.add_switch({.name = "core", .configure = nullptr});
+  int next_ip = 1;
+  for (int a = 0; a < aggs; ++a) {
+    int agg = sys.add_switch({.name = "agg" + std::to_string(a), .configure = nullptr});
+    sys.add_link(agg, core, {});
+    for (int h = 0; h < hosts_per_agg; ++h) {
+      orch::HostSpec spec;
+      spec.name = "h" + std::to_string(a) + "." + std::to_string(h);
+      spec.ip = proto::ip(10, 0, 0, static_cast<unsigned>(next_ip++));
+      // On/off traffic towards the next host in the *same* agg block;
+      // every host also sinks. Intra-block traffic is what makes
+      // decomposed partitions genuinely parallel — all-cross-block
+      // traffic funnels through the core switch, an indivisible
+      // bottleneck that legitimately ranks "s" first.
+      unsigned peer = static_cast<unsigned>(a * hosts_per_agg + (h + 1) % hosts_per_agg + 1);
+      spec.apps = [peer](orch::HostContext& ctx) {
+        ctx.protocol->add_app<netsim::UdpSinkApp>(7);
+        ctx.protocol->add_app<netsim::OnOffUdpApp>(
+            netsim::OnOffUdpApp::Config{.dst = proto::ip(10, 0, 0, peer),
+                                        .dst_port = 7,
+                                        .src_port = 7,
+                                        .payload_bytes = 1400,
+                                        .rate_bps = 2e9});
+      };
+      int node = sys.add_host(spec);
+      sys.add_link(node, agg, {});
+    }
+  }
+  return sys;
+}
+
+}  // namespace
+
+TEST(AdaptivePartitionTest, CalibrationPicksBestCandidate) {
+  orch::System sys = make_fabric_system(3, 4);
+  orch::Instantiation inst;
+  auto cal = orch::calibrate_partition(sys, inst, from_ms(4.0));
+  ASSERT_EQ(cal.candidates.size(), 5u);
+  EXPECT_GT(cal.quantum, 0u);
+
+  double best = -1.0;
+  std::string best_name;
+  for (const auto& c : cal.candidates) {
+    if (!c.failed && c.score > best) {
+      best = c.score;
+      best_name = c.name;
+    }
+  }
+  EXPECT_EQ(cal.chosen, best_name);
+  // A three-block fabric decomposes well: single-process must not win.
+  EXPECT_NE(cal.chosen, "s");
+}
+
+TEST(AdaptivePartitionTest, AutoPartitionInstantiates) {
+  // Same 3-block fabric as above: smaller systems genuinely score close
+  // to "s" (channel overhead eats the parallelism), making the split
+  // assertion below meaningless.
+  orch::System sys = make_fabric_system(3, 4);
+  orch::Instantiation inst;
+  inst.exec.partition = "auto";
+  Simulation sim;
+  auto done = orch::instantiate_system(sim, sys, inst);
+  // "auto" resolved to a real strategy that split the network.
+  EXPECT_GT(done.component_count, 1u);
+  auto stats = orch::run_instantiated(sim, inst, from_ms(2.0));
+  EXPECT_GT(stats.wall_seconds, 0.0);
+}
