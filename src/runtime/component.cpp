@@ -172,12 +172,12 @@ void Component::maybe_observe() {
 }
 
 void Component::enable_obs(obs::Registry& reg, std::uint64_t publish_period_cycles) {
-  obs_registry_ = &reg;
   obs_live_ = true;
   publish_period_ = publish_period_cycles;
   next_publish_tsc_ = publish_period_cycles ? rdcycles() + publish_period_cycles : 0;
   const std::string p = "comp." + name_ + ".";
-  g_sim_ns_ = &reg.gauge(p + "sim_ns");
+  reg.register_poll(p + "sim_ns",
+                    [this] { return static_cast<double>(live_sim_time()) / 1e3; });
   g_events_ = &reg.gauge(p + "events_executed");
   g_cancelled_ = &reg.gauge(p + "events_cancelled");
   g_live_events_ = &reg.gauge(p + "queue_depth");
@@ -188,8 +188,8 @@ void Component::enable_obs(obs::Registry& reg, std::uint64_t publish_period_cycl
 }
 
 void Component::publish_obs_metrics() {
-  if (obs_registry_ == nullptr) return;
-  g_sim_ns_->set(static_cast<double>(kernel_.now()) / 1e3);
+  if (!obs_live_) return;
+  live_sim_time_.store(kernel_.now(), std::memory_order_relaxed);
   g_events_->set(static_cast<double>(kernel_.events_executed()));
   g_cancelled_->set(static_cast<double>(kernel_.events_cancelled()));
   g_live_events_->set(static_cast<double>(kernel_.live_events()));

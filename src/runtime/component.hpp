@@ -192,7 +192,8 @@ class Component {
   void publish_obs_metrics();
 
   /// Sim-time low-water mark, readable from the progress-reporter thread
-  /// (updated every few batches while obs is live, and at finish()).
+  /// (updated every few batches while obs is live, at each publish and at
+  /// finish()). The `comp.<name>.sim_ns` gauge polls it.
   SimTime live_sim_time() const { return live_sim_time_.load(std::memory_order_relaxed); }
 
   /// Perfetto track for this component's trace records (propagated to the
@@ -238,14 +239,12 @@ class Component {
   // so the per-batch check stays a single branch when everything is off.
   bool obs_live_ = false;
   std::uint32_t batches_since_check_ = 0;
-  obs::Registry* obs_registry_ = nullptr;
   std::uint64_t publish_period_ = 0;
   std::uint64_t next_publish_tsc_ = 0;
   std::atomic<SimTime> live_sim_time_{0};
   std::uint32_t trace_track_ = 0;
   // Cached instrument pointers (resolved once at enable_obs; publishing
   // must not take the registry's name-lookup mutex on the sim thread).
-  obs::Gauge* g_sim_ns_ = nullptr;
   obs::Gauge* g_events_ = nullptr;
   obs::Gauge* g_cancelled_ = nullptr;
   obs::Gauge* g_live_events_ = nullptr;

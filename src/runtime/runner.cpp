@@ -275,32 +275,38 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
         return static_cast<double>(e->tx_backpressure_stalls());
       });
       // Cross-process transports additionally expose wire-level counters:
-      // frames/bytes/syncs this process put on the trunk, futex park/wake
-      // counts (shm), and the hello-time clock skew (sockets).
-      if (sync::WireCounters* w = ch->transport().wire_counters()) {
-        const std::string t = "trunk." + ch->name() + ".";
-        metrics_.register_poll(t + "tx_frames", [w] {
-          return static_cast<double>(w->tx_frames.load(std::memory_order_relaxed));
-        });
-        metrics_.register_poll(t + "tx_bytes", [w] {
-          return static_cast<double>(w->tx_bytes.load(std::memory_order_relaxed));
-        });
-        metrics_.register_poll(t + "tx_syncs", [w] {
-          return static_cast<double>(w->tx_syncs.load(std::memory_order_relaxed));
-        });
-        metrics_.register_poll(t + "tx_datas", [w] {
-          return static_cast<double>(w->tx_datas.load(std::memory_order_relaxed));
-        });
-        metrics_.register_poll(t + "futex_parks", [w] {
-          return static_cast<double>(w->futex_parks.load(std::memory_order_relaxed));
-        });
-        metrics_.register_poll(t + "futex_wakes", [w] {
-          return static_cast<double>(w->futex_wakes.load(std::memory_order_relaxed));
-        });
-        metrics_.register_poll(t + "clock_skew_cycles", [w] {
-          return static_cast<double>(w->clock_skew_cycles.load(std::memory_order_relaxed));
-        });
+      // the frames, bytes, SYNCs and data this process's adapters put on
+      // the trunk, futex park/wake counts (shm), and the hello-time clock
+      // skew (sockets).
+      sync::WireCounters* w = ch->transport().wire_counters();
+      if (w == nullptr) continue;
+      const std::string t = "trunk." + ch->name() + ".";
+      std::vector<const sync::Adapter*> local;
+      for (Component* c : active) {
+        for (auto& a : c->adapters()) {
+          if (&a->end().channel() == ch.get()) local.push_back(a.get());
+        }
       }
+      auto sum = [local](std::uint64_t sync::WireStats::*field) {
+        return [local, field] {
+          std::uint64_t n = 0;
+          for (const sync::Adapter* a : local) n += (*a->wire_stats()).*field;
+          return static_cast<double>(n);
+        };
+      };
+      metrics_.register_poll(t + "tx_frames", sum(&sync::WireStats::tx_frames));
+      metrics_.register_poll(t + "tx_bytes", sum(&sync::WireStats::tx_bytes));
+      metrics_.register_poll(t + "tx_syncs", sum(&sync::WireStats::tx_syncs));
+      metrics_.register_poll(t + "tx_datas", sum(&sync::WireStats::tx_datas));
+      metrics_.register_poll(t + "futex_parks", [w] {
+        return static_cast<double>(w->futex_parks.load(std::memory_order_relaxed));
+      });
+      metrics_.register_poll(t + "futex_wakes", [w] {
+        return static_cast<double>(w->futex_wakes.load(std::memory_order_relaxed));
+      });
+      metrics_.register_poll(t + "clock_skew_cycles", [w] {
+        return static_cast<double>(w->clock_skew_cycles.load(std::memory_order_relaxed));
+      });
     }
   }
   obs::Reporter reporter;
@@ -543,9 +549,7 @@ RunStats Simulation::collect_stats(RunMode mode, SimTime end, std::uint64_t wall
       as.peer_component = a->peer_component();
       as.totals = a->counters();
       as.totals.backpressure_stalls = a->end().tx_backpressure_stalls();
-      if (const sync::WireCounters* w = a->end().channel().transport().wire_counters()) {
-        as.wire = w->snapshot();
-      }
+      as.wire = a->wire_stats();
       cs.adapters.push_back(std::move(as));
     }
     rs.components.push_back(std::move(cs));

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -149,7 +150,7 @@ class Adapter {
 
   void send_sync(SimTime ts) {
     counters_.tx_cycles += end_->send_control(MsgType::kSync, ts);
-    counters_.tx_syncs++;
+    bump_live(counters_.tx_syncs);
   }
 
   /// Null message while blocked: promises we send nothing before `promise`.
@@ -210,6 +211,23 @@ class Adapter {
   const ProfCounters& counters() const { return counters_; }
   void add_wait_cycles(std::uint64_t c) { counters_.sync_wait_cycles += c; }
 
+  /// This adapter's wire facts, or nullopt over a transport without a wire
+  /// (inproc). Frames, SYNCs and data are its own counters; bytes and
+  /// futex counts come from the transport. Safe on the obs reporter thread.
+  std::optional<WireStats> wire_stats() const {
+    const WireCounters* w = end_->wire_counters();
+    if (w == nullptr) return std::nullopt;
+    constexpr auto r = std::memory_order_relaxed;
+    WireStats s;
+    s.tx_syncs = load_live(counters_.tx_syncs);
+    s.tx_datas = load_live(counters_.tx_msgs);
+    s.tx_frames = s.tx_syncs + s.tx_datas + (end_->fin_sent() ? 1 : 0);
+    s.tx_bytes = w->tx_bytes[end_->side()].load(r);
+    s.futex_parks = w->futex_parks.load(r);
+    s.futex_wakes = w->futex_wakes.load(r);
+    return s;
+  }
+
   /// Perfetto track (the owning component's) for trace records.
   void set_trace_track(std::uint32_t t) { trace_track_ = t; }
   std::uint32_t trace_track() const { return trace_track_; }
@@ -235,7 +253,7 @@ class Adapter {
     std::uint64_t c0 = rdcycles();
     std::uint64_t spin = end_->send(m);
     counters_.tx_cycles += (rdcycles() - c0) + spin;
-    counters_.tx_msgs++;
+    bump_live(counters_.tx_msgs);
     if (obs::tracing_enabled()) {
       // last_sent() right after a data send is the (possibly bumped) wire
       // timestamp — exactly what the receiver sees, so both ends derive the

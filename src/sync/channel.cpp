@@ -27,6 +27,11 @@ Channel::Channel(std::string name, ChannelConfig cfg)
     : name_(std::move(name)), cfg_(cfg),
       transport_(
           std::make_unique<InProcTransport>(checked_ring_capacity(name_, cfg.ring_capacity))) {
+  // Latency is the lookahead: at 0 the sync interval is 0 too, which
+  // Adapter::next_sync_due divides by, and no horizon ever advances.
+  if (cfg.latency == 0) {
+    throw std::invalid_argument("channel '" + name_ + "': latency must be at least 1 ps");
+  }
   end_a_.channel_ = this;
   end_a_.peer_ = &end_b_;
   end_a_.tx_spill_ = &a_spill_;
@@ -41,7 +46,7 @@ Channel::Channel(std::string name, ChannelConfig cfg)
   end_b_.rx_spill_count_ = &a_spill_count_;
   for (ChannelEnd* e : {&end_a_, &end_b_}) {
     e->latency_ = cfg.latency;
-    e->horizon_ = cfg.latency == 0 ? 0 : cfg.latency - 1;  // nothing received yet
+    e->horizon_ = cfg.latency - 1;  // nothing received yet
   }
   rewire();
 }
@@ -192,20 +197,18 @@ std::uint64_t ChannelEnd::send_control(MsgType type, SimTime ts) {
   std::uint64_t spin = 0;
   push_with_backpressure(msg, spin);
   if (wire_ != nullptr) count_wire(msg);
+  if (type == MsgType::kFin) fin_sent_.store(true, std::memory_order_relaxed);
   return spin;
 }
 
 void ChannelEnd::count_wire(const Message& msg) {
-  // Relaxed bumps on a cached pointer; inproc channels never get here.
-  wire_->tx_frames.fetch_add(1, std::memory_order_relaxed);
-  wire_->tx_bytes.fetch_add(wire_->fixed_frame_bytes != 0 ? wire_->fixed_frame_bytes
-                                                          : wire_->frame_overhead + msg.size,
-                            std::memory_order_relaxed);
-  if (msg.is_sync()) {
-    wire_->tx_syncs.fetch_add(1, std::memory_order_relaxed);
-  } else if (!msg.is_fin()) {
-    wire_->tx_datas.fetch_add(1, std::memory_order_relaxed);
-  }
+  // This end is the only writer of its side's slot: a relaxed load+store,
+  // no read-modify-write. Inproc channels never get here.
+  std::atomic<std::uint64_t>& bytes = wire_->tx_bytes[side_];
+  bytes.store(bytes.load(std::memory_order_relaxed) +
+                  (wire_->fixed_frame_bytes != 0 ? wire_->fixed_frame_bytes
+                                                 : wire_->frame_overhead + msg.size),
+              std::memory_order_relaxed);
 }
 
 void ChannelEnd::enable_ckpt_window() {

@@ -48,7 +48,7 @@
 namespace splitsim::sync {
 
 struct ChannelConfig {
-  /// Propagation latency; also the synchronization lookahead.
+  /// Propagation latency, >= 1 ps; also the synchronization lookahead.
   SimTime latency = 500 * timeunit::ns;
   /// Max simulated-time gap between consecutive messages; 0 means "use the
   /// latency" (the largest value that still guarantees progress).
@@ -132,6 +132,10 @@ class ChannelEnd {
   /// peer's scheduling state did not move (runtime/runner.cpp).
   std::uint64_t data_sends() const { return data_sends_; }
 
+  /// True once this end's FIN is on the wire. Atomic (relaxed) so the obs
+  /// reporter may read it live; only the producer writes it.
+  bool fin_sent() const { return fin_sent_.load(std::memory_order_relaxed); }
+
   // ---- checkpointing --------------------------------------------------
   /// Enable the sender-side in-flight window: every data send is recorded
   /// as (wire timestamp, event hash) so inflight_at() can summarize the
@@ -204,6 +208,11 @@ class ChannelEnd {
   /// because every runner poll reads it.
   SimTime horizon() const { return horizon_; }
 
+  /// Byte/futex counters of a cross-process transport, or nullptr
+  /// (sync/transport.hpp); tx_bytes[side()] holds this end's sent bytes.
+  const WireCounters* wire_counters() const { return wire_; }
+  int side() const { return side_; }
+
   /// The channel's configured sync interval
   /// (ChannelConfig::effective_sync_interval).
   SimTime effective_sync_interval() const { return config().effective_sync_interval(); }
@@ -214,7 +223,7 @@ class ChannelEnd {
 
   std::uint64_t send_data(const Message& msg);
   bool push_with_backpressure(const Message& msg, std::uint64_t& spin_cycles);
-  /// Cross-process transport: account the frame just put on the wire.
+  /// Cross-process transport: count the bytes of the frame just sent.
   void count_wire(const Message& msg);
   const Message* spill_front(bool& from_spill);
   void spill_pop();
@@ -250,6 +259,7 @@ class ChannelEnd {
   SimTime latency_ = 0;  ///< channel latency (immutable after construction)
   SimTime horizon_ = 0;  ///< see horizon(); maintained by note_recv
   std::atomic<bool> fin_received_{false};  ///< see fin_received()
+  std::atomic<bool> fin_sent_{false};      ///< see fin_sent()
   bool sent_anything_ = false;
   bool peeked_from_spill_ = false;
   // Checkpoint in-flight window (enable_ckpt_window): data sends not yet

@@ -32,10 +32,12 @@
 
 namespace splitsim::sync {
 
-/// Plain snapshot of a transport's WireCounters, carried per adapter in
-/// runtime::AdapterStats and the run record (summary.json).
+/// Wire facts of one adapter, carried in runtime::AdapterStats and the run
+/// record (summary.json). Frame, SYNC and data counts are the sending
+/// adapter's own (Adapter::wire_stats); bytes and futex counts are the
+/// transport's (WireCounters).
 struct WireStats {
-  std::uint64_t tx_frames = 0;
+  std::uint64_t tx_frames = 0;  ///< tx_syncs + tx_datas + the FIN, once sent
   std::uint64_t tx_bytes = 0;
   std::uint64_t tx_syncs = 0;
   std::uint64_t tx_datas = 0;
@@ -53,19 +55,17 @@ struct WireStats {
   }
 };
 
-/// Wire-level counters of one cross-process transport, bumped by the LOCAL
-/// sides only (each process reports its own tx; futex counts come from the
-/// rings this process parks/wakes on). Exposed to the metrics registry as
-/// `trunk.<channel>.*` gauges and, snapshotted per adapter, to the run
-/// record the multi-process parent aggregates.
+/// What one cross-process transport alone sees: bytes on the wire, futex
+/// parks/wakes (shm) and the hello clock skew (sockets). Each process
+/// counts only its local sides. Frame, SYNC and data counts are not kept
+/// here: the sending adapter counts them once (sync/counters.hpp).
 /// `frame_overhead` / `fixed_frame_bytes` let ChannelEnd::send account
 /// bytes-on-the-wire without a virtual call per message: bytes = fixed
 /// (shm: one ring slot) or overhead + payload (socket: len prefix + header).
 struct WireCounters {
-  std::atomic<std::uint64_t> tx_frames{0};  ///< messages sent (incl. sync/fin)
-  std::atomic<std::uint64_t> tx_bytes{0};   ///< wire bytes for those frames
-  std::atomic<std::uint64_t> tx_syncs{0};   ///< SYNC (null-message) frames
-  std::atomic<std::uint64_t> tx_datas{0};   ///< data frames (flow-arrow bearing)
+  /// Wire bytes sent by each side (index = side). Only that side's sender
+  /// writes its slot (relaxed load+store); the obs reporter reads it live.
+  std::atomic<std::uint64_t> tx_bytes[2] = {};
   std::atomic<std::uint64_t> futex_parks{0};  ///< producer futex waits (shm)
   std::atomic<std::uint64_t> futex_wakes{0};  ///< consumer futex wakes (shm)
   /// Hello-time clock calibration: local rdcycles() at hello receipt minus
@@ -76,12 +76,6 @@ struct WireCounters {
   std::atomic<std::int64_t> clock_skew_cycles{0};
   std::uint32_t frame_overhead = 0;
   std::uint32_t fixed_frame_bytes = 0;
-
-  WireStats snapshot() const {
-    constexpr auto r = std::memory_order_relaxed;
-    return {tx_frames.load(r),   tx_bytes.load(r),    tx_syncs.load(r),
-            tx_datas.load(r),    futex_parks.load(r), futex_wakes.load(r)};
-  }
 };
 
 /// Failure in the transport machinery itself: handshake/version mismatch,
@@ -142,8 +136,8 @@ class Transport {
   /// peer sees EOF-before-FIN.
   virtual void signal_abort() {}
 
-  /// Wire-level tx/futex counters, or nullptr when this transport does not
-  /// count (inproc: no wire). Non-null ⇒ ChannelEnd::send bumps them and
+  /// Wire byte/futex counters, or nullptr when this transport does not
+  /// count (inproc: no wire). Non-null ⇒ ChannelEnd::send counts bytes and
   /// the obs layer registers `trunk.<channel>.*` gauges.
   virtual WireCounters* wire_counters() { return nullptr; }
 };

@@ -8,11 +8,14 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "runtime/runner.hpp"
+#include "sync/shm.hpp"
 
 using namespace splitsim;
 using namespace splitsim::obs;
@@ -533,6 +536,44 @@ TEST(ObsLive, RunProducesFinalMetricsSnapshot) {
     if (name.rfind("chan.c.", 0) == 0) has_chan_poll = true;
   }
   EXPECT_TRUE(has_chan_poll);
+}
+
+TEST(ObsLive, TrunkGaugesReadTheAdaptersOwnCounts) {
+  // A threaded run over an in-process shm channel: the reporter polls the
+  // trunk gauges every millisecond while both component threads send, and
+  // the final values are the two adapters' own counts summed.
+  runtime::Simulation sim;
+  auto& ch = sim.add_channel("c", {.latency = 10 * timeunit::ns, .ring_capacity = 64});
+  sim.add_component<Pinger>("pinger", ch.end_a(), 1000);
+  sim.add_component<Reflector>("reflector", ch.end_b());
+  sync::ShmChannelParams sp;
+  sp.channel_name = "c";
+  sp.shm_name = sync::shm_segment_name("obslive." + std::to_string(::getpid()), "c");
+  sp.latency = ch.config().latency;
+  sp.ring_capacity = ch.config().ring_capacity;
+  sp.create = true;
+  ch.set_transport(std::make_unique<sync::ShmChannelTransport>(sp));
+  ch.transport().start();
+  ObsConfig oc;
+  oc.metrics_period_ms = 1;
+  sim.set_obs(oc);
+  const runtime::RunStats st = sim.run(from_us(200.0), runtime::RunMode::kThreaded);
+  ch.transport().stop();
+
+  std::uint64_t syncs = 0;
+  std::uint64_t datas = 0;
+  for (const runtime::ComponentStats& c : st.components) {
+    for (const runtime::AdapterStats& a : c.adapters) {
+      syncs += a.totals.tx_syncs;
+      datas += a.totals.tx_msgs;
+    }
+  }
+  ASSERT_GT(syncs, 0u);
+  ASSERT_FALSE(sim.metrics_series().empty());
+  const MetricsSnapshot& last = sim.metrics_series().back();
+  EXPECT_EQ(last.value("trunk.c.tx_syncs"), static_cast<double>(syncs));
+  EXPECT_EQ(last.value("trunk.c.tx_datas"), static_cast<double>(datas));
+  EXPECT_EQ(last.value("trunk.c.tx_frames"), static_cast<double>(syncs + datas + 2));
 }
 
 TEST(ObsLive, ProgressReporterEmitsLinesAndSeries) {

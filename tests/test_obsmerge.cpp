@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -330,6 +331,31 @@ void check_traced_multiprocess(const std::string& transport) {
   // litter, no collisions).
   EXPECT_TRUE(std::filesystem::exists(out + "/proc-0/trace.json"));
   EXPECT_TRUE(std::filesystem::exists(out + "/proc-1/trace.json"));
+
+  // Wire counts are the adapters' own, and each merged row sums its
+  // child's wire adapters (rows are in rank order).
+  for (std::size_t rank = 0; rank < procs->array.size(); ++rank) {
+    const std::string path = out + "/proc-" + std::to_string(rank) + "/summary.json";
+    std::optional<runtime::RunStats> child = obs::read_run_stats(path);
+    ASSERT_TRUE(child.has_value()) << path;
+    sync::WireStats sum;
+    for (const runtime::ComponentStats& c : child->components) {
+      for (const runtime::AdapterStats& a : c.adapters) {
+        if (!a.wire) continue;
+        SCOPED_TRACE(c.name + "/" + a.adapter);
+        EXPECT_EQ(a.wire->tx_syncs, a.totals.tx_syncs);
+        EXPECT_EQ(a.wire->tx_datas, a.totals.tx_msgs);
+        EXPECT_EQ(a.wire->tx_frames, a.totals.tx_syncs + a.totals.tx_msgs + 1);
+        sum += *a.wire;
+      }
+    }
+    const obs::JsonValue& row = procs->array[rank];
+    EXPECT_GT(sum.tx_frames, 0u) << path;
+    EXPECT_EQ(static_cast<std::uint64_t>(row.num("wire_tx_frames")), sum.tx_frames) << path;
+    EXPECT_EQ(static_cast<std::uint64_t>(row.num("wire_tx_bytes")), sum.tx_bytes) << path;
+    EXPECT_EQ(static_cast<std::uint64_t>(row.num("wire_tx_syncs")), sum.tx_syncs) << path;
+    EXPECT_EQ(static_cast<std::uint64_t>(row.num("wire_tx_datas")), sum.tx_datas) << path;
+  }
 }
 
 }  // namespace

@@ -273,6 +273,39 @@ TEST(ChannelTest, RingCapacityMustBePowerOfTwoAtLeastTwo) {
   EXPECT_EQ(ok.config().ring_capacity, 2u);
 }
 
+TEST(ChannelTest, ZeroLatencyIsRejected) {
+  // Latency is the lookahead: at 0 the sync interval is 0 as well, so the
+  // sender's SYNC schedule divides by zero and no horizon ever advances.
+  try {
+    Channel ch("zero", {.latency = 0});
+    ADD_FAILURE() << "latency 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'zero'"), std::string::npos) << what;
+    EXPECT_NE(what.find("latency"), std::string::npos) << what;
+  }
+  // The smallest valid latency, with sync_interval 0 ("use the latency"),
+  // still builds and runs: syncs fall due every picosecond.
+  Channel ch("one", {.latency = 1, .sync_interval = 0});
+  EXPECT_EQ(ch.end_a().effective_sync_interval(), 1u);
+  Adapter tx("tx", ch.end_a());
+  Adapter rx("rx", ch.end_b());
+  int delivered = 0;
+  rx.set_handler([&](const Message&, SimTime t) {
+    ++delivered;
+    EXPECT_EQ(t, 6u);
+  });
+  tx.send_sync(0);
+  EXPECT_EQ(tx.next_sync_due(), 1u);
+  tx.send(kUserTypeBase, 7, SimTime{5});
+  tx.maybe_sync(6);
+  EXPECT_EQ(tx.counters().tx_syncs, 2u);
+  EXPECT_EQ(rx.rx_peek().bound, 6u);
+  EXPECT_TRUE(rx.deliver_one(6));
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(rx.rx_peek().bound, 7u);  // horizon: the SYNC at 6 + latency
+}
+
 TEST(AdapterTest, DeliverCountsAndDispatches) {
   Channel ch("c", {.latency = 100});
   Adapter tx("tx", ch.end_a());

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -29,6 +30,7 @@
 #include "mcheck/scenarios.hpp"
 #include "netsim/apps.hpp"
 #include "netsim/topology.hpp"
+#include "obs/summary.hpp"
 #include "orch/proc.hpp"
 #include "proto/tcp.hpp"
 #include "runtime/error.hpp"
@@ -398,6 +400,30 @@ EventDigest run_clocksync_ac(const std::string& transport, const std::string& ta
   return clocksync::run_clocksync_scenario(cfg).digest;
 }
 
+/// Every adapter's `wire` counts in a run record are its own: its SYNCs,
+/// its data messages and one FIN, whatever else shares its transport.
+/// `frame_bytes` != 0 also pins its bytes to that many per frame (shm: one
+/// ring slot). Returns the number of wire adapters checked.
+int expect_wire_counts_are_adapters_own(const std::string& summary_path,
+                                        std::uint64_t frame_bytes) {
+  std::optional<runtime::RunStats> st = obs::read_run_stats(summary_path);
+  EXPECT_TRUE(st.has_value()) << summary_path;
+  if (!st) return 0;
+  int checked = 0;
+  for (const runtime::ComponentStats& c : st->components) {
+    for (const runtime::AdapterStats& a : c.adapters) {
+      if (!a.wire) continue;
+      ++checked;
+      SCOPED_TRACE(c.name + "/" + a.adapter);
+      EXPECT_EQ(a.wire->tx_syncs, a.totals.tx_syncs);
+      EXPECT_EQ(a.wire->tx_datas, a.totals.tx_msgs);
+      EXPECT_EQ(a.wire->tx_frames, a.totals.tx_syncs + a.totals.tx_msgs + 1);
+      if (frame_bytes != 0) EXPECT_EQ(a.wire->tx_bytes, a.wire->tx_frames * frame_bytes);
+    }
+  }
+  return checked;
+}
+
 }  // namespace
 
 TEST(TransportParityTest, KvSmallLocalSwapMatchesInproc) {
@@ -408,6 +434,13 @@ TEST(TransportParityTest, KvSmallLocalSwapMatchesInproc) {
   ASSERT_GT(ref.count, 0u);
   EXPECT_EQ(run_kv("shm", false, "kv-shm"), ref);
   EXPECT_EQ(run_kv("socket", false, "kv-socket"), ref);
+  // Both ends of each swapped channel live in this process, yet each
+  // adapter's wire record counts only what that adapter sent.
+  EXPECT_GE(expect_wire_counts_are_adapters_own("test-transport-out/kv-shm/summary.json",
+                                                sizeof(Message)),
+            4);
+  EXPECT_GE(expect_wire_counts_are_adapters_own("test-transport-out/kv-socket/summary.json", 0),
+            4);
 }
 
 TEST(TransportParityTest, KvSmallMultiProcessMatchesInproc) {
