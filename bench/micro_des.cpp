@@ -1,6 +1,8 @@
 // Micro-benchmarks for the DES kernel: scheduling throughput at various
 // queue depths, cancellation overhead, the self-rescheduling timer pattern,
-// and next_time() over a sparse calendar. Every workload runs A/B against
+// next_time() over a sparse calendar, a calendar that never empties beside
+// far timers, and an init burst under a far first event. Every workload
+// runs A/B against
 // the reference binary-heap kernel (des/reference_kernel.hpp) so the
 // speedup of the two-tier calendar queue is measured, not assumed. Emits BENCH_des.json (see --out).
 //
@@ -76,6 +78,45 @@ BenchResult bench_sparse_next_time(const std::string& name, std::uint64_t iters)
   return r;
 }
 
+// A network queue: ten packet streams re-arming 0.3-1.5 us ahead keep the
+// calendar from ever emptying, beside sixteen flow timers re-arming 28 us
+// ahead, far beyond the ~2.1 us window of a 1 us lookahead. The window must
+// follow the clock for the streams to stay in the bucket tier.
+template <typename K>
+BenchResult bench_stream_far_timers(const std::string& name, std::uint64_t iters) {
+  K k;
+  if constexpr (std::is_same_v<K, Kernel>) k.set_bucket_hint(from_us(1.0));
+  std::vector<std::function<void()>> events(26);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const SimTime gap = i < 10 ? from_ns(300) + i * from_ns(133) : from_us(28.0);
+    events[i] = [&k, &events, i, gap] { k.schedule_in(gap, events[i]); };
+    k.schedule_at(i * from_ns(50), events[i]);
+  }
+  return benchutil::run_bench(name, iters, [&] { k.run_next(); });
+}
+
+// Initialization: the first event scheduled lies far ahead (a flow start at
+// 284 us) and the next 255 fall before it, then all of them run. Each op is
+// one event scheduled and run.
+template <typename K>
+BenchResult bench_init_burst(const std::string& name, std::uint64_t iters) {
+  constexpr std::uint64_t kBurst = 256;
+  K k;
+  std::uint64_t x = 1;
+  return benchutil::run_bench(
+      name, iters / kBurst,
+      [&] {
+        const SimTime t0 = k.now();
+        k.schedule_at(t0 + from_us(284.0), [] {});
+        for (std::uint64_t i = 1; i < kBurst; ++i) {
+          x = x * 6364136223846793005ull + 1442695040888963407ull;
+          k.schedule_at(t0 + (x >> 33) % from_us(284.0), [] {});
+        }
+        while (!k.empty()) k.run_next();
+      },
+      kBurst);
+}
+
 void add_ab(std::vector<BenchResult>& out, BenchResult opt, BenchResult ref) {
   opt.extra.emplace_back("reference_events_per_sec", ref.ops_per_sec);
   opt.extra.emplace_back("speedup_vs_reference",
@@ -106,6 +147,10 @@ int main(int argc, char** argv) {
          bench_self_rescheduling<ReferenceKernel>("reference_self_rescheduling", iters));
   add_ab(results, bench_sparse_next_time<Kernel>("sparse_next_time", iters),
          bench_sparse_next_time<ReferenceKernel>("reference_sparse_next_time", iters));
+  add_ab(results, bench_stream_far_timers<Kernel>("stream_far_timers", iters),
+         bench_stream_far_timers<ReferenceKernel>("reference_stream_far_timers", iters));
+  add_ab(results, bench_init_burst<Kernel>("init_burst", iters),
+         bench_init_burst<ReferenceKernel>("reference_init_burst", iters));
 
   benchutil::write_json(out, "events_per_sec", results);
   return 0;

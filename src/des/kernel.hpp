@@ -8,18 +8,26 @@
 //  * Events live in a slab of intrusive nodes (no per-event allocation);
 //    callbacks are stored with small-buffer optimization (captures up to
 //    EventCallback::kInlineCapacity bytes inline, heap fallback beyond).
-//  * The queue is two-tier. A calendar of fixed-width buckets covers the
-//    near future — with the bucket width derived from the channel lookahead
-//    (set_bucket_hint), nearly all events of a synchronized component land
-//    here and enqueue/dequeue in O(1). A 256-bit occupancy bitmap marks the
+//  * The queue is two-tier. A calendar of 256 fixed-width buckets covers a
+//    window [base, base + 256 x width) of the near future; with the width
+//    derived from the channel lookahead (set_bucket_hint), nearly all events
+//    of a synchronized component land here and enqueue/dequeue in O(1).
+//    Buckets are indexed circularly, (t >> shift) & 255, and the window
+//    follows the clock: whenever an executed event's time passes the next
+//    bucket edge, the base slides up to it and the far-future events that
+//    the window now covers migrate in from the heap, before anything else
+//    can be scheduled into that range. A 256-bit occupancy bitmap marks the
 //    non-empty buckets, so finding the head is a count-trailing-zeros over
-//    four words, however sparse the calendar. Events beyond the window go
-//    to a far-future min-heap and migrate into buckets in bulk when the
-//    window rotates forward, so each event pays the heap at most once.
+//    four words starting at the base's slot.
+//  * Every event outside the window, on either side, waits in a min-heap:
+//    timers beyond the window, and events earlier than the base after an
+//    empty queue rebased the window on a later first event. The head is the
+//    smaller of the first bucket's head and the heap top.
 //  * Cancellation is O(1) and exact: an EventId encodes (slab index,
 //    generation); cancel unlinks the node (bucket tier) or destroys the
 //    callback and invalidates the node's generation (heap tier, leaving a
-//    16-byte stale heap entry that is dropped at the next rotation).
+//    24-byte stale heap entry that is dropped when it reaches the heap top
+//    or at the next compaction).
 //
 // Ordering invariant (the cross-mode determinism digests depend on it):
 // events execute in strictly increasing (time, schedule-sequence) order —
@@ -132,8 +140,12 @@ class Kernel {
   void run_next();
 
   /// Execute all events scheduled exactly at `next_time()` == t.
-  /// The runtime uses this to process one simulation instant as a batch.
   void run_all_at(SimTime t);
+
+  /// Execute every event with time <= t, including ones they schedule, in
+  /// order. Same result as `while (next_time() <= t) run_next();` with one
+  /// head lookup per event; the runtime processes a batch with it.
+  void run_until(SimTime t);
 
   bool empty() const { return next_time() == kSimTimeMax; }
 
@@ -145,12 +157,16 @@ class Kernel {
   std::uint64_t events_executed() const { return executed_; }
   /// Pending events successfully cancelled (stale-handle no-ops excluded).
   std::uint64_t events_cancelled() const { return cancelled_; }
+  /// Events ever placed in the far-future heap (scheduled outside the
+  /// calendar window); each one later migrates into a bucket or runs from
+  /// the heap top.
+  std::uint64_t heap_pushes() const { return heap_pushes_; }
 
   /// Size the calendar for a component whose events cluster within
   /// `lookahead` of the clock (the channel latency / sync horizon): picks a
   /// power-of-two bucket width such that the window spans >= 2x lookahead.
-  /// Applied immediately when the queue is empty, otherwise at the next
-  /// window rotation.
+  /// Applied immediately when the queue is empty, otherwise at the first
+  /// window slide that finds the calendar empty.
   void set_bucket_hint(SimTime lookahead);
 
   // ---- introspection (tests, stats) ------------------------------------
@@ -160,7 +176,7 @@ class Kernel {
   /// Slab high-water mark: nodes ever allocated (memory stays bounded iff
   /// this plateaus under schedule/cancel churn).
   std::size_t allocated_nodes() const { return node_count_; }
-  /// Far-future heap entries, including stale ones awaiting rotation.
+  /// Heap entries, including stale (cancelled) ones not yet dropped.
   std::size_t heap_entries() const { return heap_.size(); }
   SimTime bucket_width() const { return static_cast<SimTime>(1) << shift_; }
 
@@ -187,8 +203,8 @@ class Kernel {
     std::uint32_t tail = kNil;
   };
 
-  /// Far-future tier entry; min-ordered by (time, seq). `gen` detects
-  /// cancelled (stale) entries at rotation.
+  /// Heap tier entry; min-ordered by (time, seq). `gen` detects cancelled
+  /// (stale) entries.
   struct HeapEntry {
     SimTime time;
     std::uint64_t seq;
@@ -198,51 +214,74 @@ class Kernel {
 
   Node& node(std::uint32_t i) const { return chunks_[i >> kChunkShift][i & (kChunkSize - 1)]; }
 
+  std::size_t slot(SimTime t) const { return static_cast<std::size_t>(t >> shift_) & (kBuckets - 1); }
+  /// t lies in [base_, base_ + 256 x width).
+  bool in_window(SimTime t) const { return t >= base_ && ((t - base_) >> shift_) < kBuckets; }
+
   std::uint32_t prepare_node(SimTime t);
   void enqueue_node(std::uint32_t ni, SimTime t);
   void free_node(std::uint32_t ni);
-  void bucket_insert(std::size_t b, std::uint32_t ni) const;
+  void bucket_insert(std::size_t b, std::uint32_t ni);
   void bucket_unlink(std::size_t b, std::uint32_t ni);
-  /// Index of the first non-empty bucket, rotating the window in from the
-  /// heap when the calendar is empty; kBuckets when nothing is pending.
+  /// First non-empty bucket in window order. Precondition: bucketed_ > 0.
   std::size_t head_bucket() const;
-  /// Calendar exhausted: rebase the window on the earliest heap event and
-  /// migrate every heap event inside the new window into buckets.
-  bool rotate_from_heap() const;
-  void heap_push(HeapEntry e) const;
-  HeapEntry heap_pop() const;
+  /// True if the heap top is live; otherwise drop it. Precondition: a
+  /// non-empty heap.
+  bool heap_top_live() const;
+  /// The pending event that runs next and the tier that holds it.
+  struct Head {
+    std::uint32_t ni;  ///< kNil when nothing is pending
+    bool from_heap;
+  };
+  Head head() const;
+  /// Remove the head from its tier and run it.
+  void run_head(Head h);
+  /// The clock passed the next bucket edge: move base_ up to it (applying a
+  /// deferred hint if the calendar is empty) and migrate the heap events
+  /// the window now covers into buckets.
+  void slide();
+  void heap_push(HeapEntry e);
+  void heap_pop() const;
   /// Remove stale (cancelled) entries and re-heapify; triggered when over
   /// half the heap is stale so far-future schedule/cancel churn stays O(1)
   /// amortized with bounded memory.
-  void compact_heap() const;
+  void compact_heap();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
+  std::size_t bucketed_ = 0;  ///< live events in the calendar tier
+  /// next_time() memo: valid until the head may have changed (the head
+  /// runs, or an event at or before it is cancelled); a schedule only
+  /// lowers it.
+  mutable SimTime next_cache_ = kSimTimeMax;
+  mutable bool next_valid_ = true;
 
   // Slab: chunked so node addresses are stable across growth.
-  mutable std::vector<std::unique_ptr<Node[]>> chunks_;
+  std::vector<std::unique_ptr<Node[]>> chunks_;
   std::uint32_t node_count_ = 0;
   std::uint32_t free_head_ = kNil;
 
-  // Two-tier queue state. Mutable because next_time() lazily rotates the
-  // window (same pattern as the reference kernel's mutable lazy-deletion
-  // queue).
-  mutable std::vector<Bucket> buckets_;
+  // Two-tier queue state.
+  std::vector<Bucket> buckets_;
   /// Bit b set iff buckets_[b] is non-empty.
-  mutable std::uint64_t occupied_[kOccupancyWords] = {};
+  std::uint64_t occupied_[kOccupancyWords] = {};
+  /// Mutable so const lookups can drop stale entries off the top (same
+  /// pattern as the reference kernel's lazy-deletion queue).
   mutable std::vector<HeapEntry> heap_;
   mutable std::size_t heap_stale_ = 0;  ///< stale entries since last compaction
-  mutable SimTime base_ = 0;        ///< time of buckets_[0]'s left edge
-  mutable std::uint32_t shift_ = 11;  ///< log2(bucket width in ps)
-  /// Deferred set_bucket_hint shift + 1, applied at the next rotation
-  /// (0 = no pending hint; +1 so a legitimate shift of 0 is representable).
-  mutable std::uint32_t pending_shift_plus1_ = 0;
+  SimTime base_ = 0;          ///< left edge of the window, a multiple of the width
+  std::uint32_t shift_ = 11;  ///< log2(bucket width in ps)
+  /// Deferred set_bucket_hint shift + 1, applied at the next slide that
+  /// finds the calendar empty (0 = no pending hint; +1 so a legitimate
+  /// shift of 0 is representable).
+  std::uint32_t pending_shift_plus1_ = 0;
 
-  /// Cold observability counter, kept after the queue state so adding it
-  /// does not shift the hot members' layout.
+  /// Cold observability counters, kept after the queue state so adding
+  /// them does not shift the hot members' layout.
   std::uint64_t cancelled_ = 0;
+  std::uint64_t heap_pushes_ = 0;
 };
 
 }  // namespace splitsim::des

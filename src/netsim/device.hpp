@@ -3,6 +3,13 @@
 // Network (internal link, pure DES events) or to an external SplitSim
 // channel (cut link of a partition, or an Ethernet channel towards a NIC
 // simulator); the data path is identical up to the wire.
+//
+// Packets stay in their device: a frame waits in the output queue's ring,
+// is copied once into the device's on-wire ring when its serialization
+// starts, and is handed to the peer straight from there. Transmissions are
+// serialized and the link latency is constant, so frames leave the wire in
+// the order they entered it, and the tx-done and arrival events capture
+// only `this`: they fit the kernel's inline callback storage.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +51,10 @@ class Device {
   /// Wire-side receive entry: deliver to the owning node (now).
   void deliver(proto::Packet&& p);
 
-  /// Time the in-flight frame (if any) finishes serializing. Together with
-  /// the queue contents this makes egress waiting time exact for FIFO
-  /// queues — used by PTP transparent clocks to compute residence time.
-
   /// Exact waiting time a packet enqueued at `now` will experience before
-  /// its own serialization starts.
+  /// its own serialization starts: the rest of the frame being serialized
+  /// plus the queued frames. Used by PTP transparent clocks to compute
+  /// residence time.
   SimTime pending_wait(SimTime now) const {
     SimTime wait = busy_until_ > now ? busy_until_ - now : 0;
     return wait + bw_.tx_time(queue_.bytes());
@@ -62,11 +67,18 @@ class Device {
 
  private:
   void try_transmit();
+  /// The frame at the head of the wire ring finished serializing.
+  void tx_done();
+  /// The frame at the head of the wire ring reached the peer.
+  void arrive();
 
   Node* node_;
   std::size_t index_;
   Bandwidth bw_;
   DropTailQueue queue_;
+  /// Frames from serialization start until they reach the peer (or, on an
+  /// external or unconnected device, until serialization ends), oldest first.
+  PacketRing wire_;
   bool busy_ = false;
   SimTime busy_until_ = 0;
 

@@ -2,6 +2,15 @@
 
 namespace splitsim::netsim {
 
+void PacketRing::grow() {
+  const std::uint32_t cap = capacity() == 0 ? 4 : 2 * capacity();
+  auto next = std::make_unique<proto::Packet[]>(cap);
+  for (std::uint32_t i = 0; i < size_; ++i) next[i] = buf_[(head_ + i) & mask_];
+  buf_ = std::move(next);
+  mask_ = cap - 1;
+  head_ = 0;
+}
+
 bool DropTailQueue::enqueue(proto::Packet&& p) {
   if (q_.size() >= cfg_.capacity_pkts) {
     ++drops_;
@@ -17,7 +26,7 @@ bool DropTailQueue::enqueue(proto::Packet&& p) {
     ++marks_;
   }
   bytes_ += p.wire_bytes();
-  q_.push_back(std::move(p));
+  q_.push_back(p);
   return true;
 }
 
@@ -44,14 +53,6 @@ bool DropTailQueue::red_admit(proto::Packet& p) {
     return true;
   }
   return false;  // non-ECT traffic is dropped early
-}
-
-std::optional<proto::Packet> DropTailQueue::dequeue() {
-  if (q_.empty()) return std::nullopt;
-  proto::Packet p = std::move(q_.front());
-  q_.pop_front();
-  bytes_ -= p.wire_bytes();
-  return p;
 }
 
 }  // namespace splitsim::netsim

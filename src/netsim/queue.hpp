@@ -5,13 +5,46 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
+#include <memory>
 
 #include "proto/packet.hpp"
 #include "util/rng.hpp"
 
 namespace splitsim::netsim {
+
+/// FIFO of packets in a power-of-two ring that is allocated on the first
+/// push and doubles when full, so idle devices hold no buffer and a busy
+/// one stops allocating once it reaches its peak depth. References from
+/// front() stay valid until the next push_back(), whose argument must not
+/// refer into the same ring.
+class PacketRing {
+ public:
+  bool empty() const { return size_ == 0; }
+  std::uint32_t size() const { return size_; }
+  std::uint32_t capacity() const { return mask_ + 1; }
+
+  proto::Packet& front() { return buf_[head_]; }
+  const proto::Packet& front() const { return buf_[head_]; }
+
+  void push_back(const proto::Packet& p) {
+    if (size_ == capacity()) grow();
+    buf_[(head_ + size_) & mask_] = p;
+    ++size_;
+  }
+
+  void pop_front() {
+    head_ = (head_ + 1) & mask_;
+    --size_;
+  }
+
+ private:
+  void grow();
+
+  std::unique_ptr<proto::Packet[]> buf_;
+  std::uint32_t mask_ = static_cast<std::uint32_t>(-1);  ///< capacity - 1; capacity 0 when unallocated
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
+};
 
 struct QueueConfig {
   std::uint32_t capacity_pkts = 1000;
@@ -38,9 +71,14 @@ class DropTailQueue {
   /// Enqueue (possibly marking CE); returns false if the packet was dropped.
   bool enqueue(proto::Packet&& p);
 
-  std::optional<proto::Packet> dequeue();
+  /// Oldest queued packet. Precondition: !empty().
+  const proto::Packet& front() const { return q_.front(); }
+  void pop_front() {
+    bytes_ -= q_.front().wire_bytes();
+    q_.pop_front();
+  }
 
-  std::uint32_t packets() const { return static_cast<std::uint32_t>(q_.size()); }
+  std::uint32_t packets() const { return q_.size(); }
   std::uint64_t bytes() const { return bytes_; }
   bool empty() const { return q_.empty(); }
 
@@ -51,7 +89,7 @@ class DropTailQueue {
   bool red_admit(proto::Packet& p);
 
   QueueConfig cfg_;
-  std::deque<proto::Packet> q_;
+  PacketRing q_;
   std::uint64_t bytes_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t marks_ = 0;

@@ -85,7 +85,7 @@ void Component::advance(const Poll& p) {
   std::size_t delivered = 0;
   for (auto& a : adapters_) delivered += a->deliver_all(t);
   const std::uint64_t executed = kernel_.events_executed();
-  while (kernel_.next_time() <= t) kernel_.run_next();
+  kernel_.run_until(t);
   for (auto& a : adapters_) a->maybe_sync(t);
   ++batches_;
   if (delivered == 0 && kernel_.events_executed() == executed) ++sync_only_batches_;

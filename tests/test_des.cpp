@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "des/kernel.hpp"
@@ -117,8 +119,9 @@ TEST(KernelTest, RunNextOnEmptyThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Two-tier queue specifics: handle generations, the far-future heap tier and
-// its window rotation, and bucket-geometry hints.
+// Two-tier queue specifics: handle generations, the heap tier for events
+// outside the calendar window, the window sliding with the clock, and
+// bucket-geometry hints.
 // ---------------------------------------------------------------------------
 
 TEST(KernelTest, StaleHandleAfterNodeReuseIsNoop) {
@@ -140,10 +143,11 @@ TEST(KernelTest, StaleHandleAfterNodeReuseIsNoop) {
 TEST(KernelTest, FarFutureEventsSurviveWindowRotation) {
   Kernel k;
   std::vector<int> order;
-  // Default geometry: 256 buckets x 2048 ps = a ~524 us window. The first
+  // Default geometry: 256 buckets x 2048 ps = a ~524 ns window. The first
   // (near) event pins the window base; later events far beyond the window
-  // take the heap tier and migrate in at rotation. Includes a same-time
-  // FIFO tie in the far tier.
+  // take the heap tier and either run from the heap top or migrate into
+  // buckets as the window slides up to the clock. Includes a same-time FIFO
+  // tie in the far tier.
   k.schedule_at(100, [&] { order.push_back(1); });
   k.schedule_at(40'000'000, [&] { order.push_back(4); });
   k.schedule_at(10'000'000, [&] { order.push_back(3); });
@@ -158,10 +162,10 @@ TEST(KernelTest, FarFutureEventsSurviveWindowRotation) {
 TEST(KernelTest, ScheduleBeforeRotatedWindowBaseStaysOrdered) {
   Kernel k;
   std::vector<int> order;
-  // Rotate the window far forward, then — from a callback running at the
-  // rotated base — schedule an event earlier than any bucket boundary
-  // alignment might suggest (t equals now, below the aligned base edge of
-  // later buckets).
+  // The empty queue rebases the window far forward on the first event;
+  // then — from a callback running at that base — schedule an event
+  // earlier than any bucket boundary alignment might suggest (t equals now,
+  // below the aligned base edge of later buckets).
   k.schedule_at(10'000'000, [&] {
     order.push_back(1);
     k.schedule_at(10'000'001, [&] { order.push_back(2); });
@@ -199,11 +203,71 @@ TEST(KernelTest, BucketHintReshapesWindow) {
   std::vector<int> order;
   k.schedule_at(10, [&] { order.push_back(1); });
   k.schedule_at(2'000'000, [&] { order.push_back(2); });  // far outside window
-  // A hint while events are pending is deferred to the next rotation.
+  // A hint while events are pending is deferred to the first window slide
+  // that finds the calendar empty: here, right after event 1 runs.
   k.set_bucket_hint(1'000'000);
   while (!k.empty()) k.run_next();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(k.bucket_width(), 8192u);  // 256 x 8192 ps >= 2 x 1 us, applied at rotation
+  EXPECT_EQ(k.bucket_width(), 8192u);  // 256 x 8192 ps >= 2 x 1 us, applied at the slide
+}
+
+TEST(KernelTest, SteadyStreamStaysInCalendar) {
+  // A calendar that never empties: ten streams, each re-arming itself
+  // 0.3-1.5 us ahead, under a 1 us hint (a ~2.1 us window). The window
+  // follows the clock, so no event ever leaves the calendar for the heap.
+  Kernel k;
+  k.set_bucket_hint(from_us(1.0));
+  const SimTime end = from_ms(3.0);
+  std::size_t max_heap = 0;
+  std::uint64_t runs = 0;
+  std::vector<std::function<void()>> streams(10);
+  for (int i = 0; i < 10; ++i) {
+    const SimTime gap = from_ns(300) + static_cast<SimTime>(i) * from_ns(133);
+    streams[i] = [&, i, gap] {
+      ++runs;
+      max_heap = std::max(max_heap, k.heap_entries());
+      k.schedule_in(gap, streams[i]);
+    };
+    k.schedule_at(static_cast<SimTime>(i) * from_ns(100), streams[i]);
+  }
+  while (k.next_time() <= end) k.run_next();
+  EXPECT_GT(runs, 10'000u);
+  EXPECT_EQ(max_heap, 0u);
+  EXPECT_EQ(k.heap_pushes(), 0u);
+}
+
+TEST(KernelTest, EarlierInsertsAfterFarRebaseTakeTheHeap) {
+  // The empty queue rebases the window on a far first event; events
+  // scheduled before that base go to the heap, not into bucket 0, and run
+  // first, in (time, seq) order.
+  Kernel k;
+  std::vector<int> order;
+  k.schedule_at(from_us(284.0), [&] { order.push_back(4); });
+  k.schedule_at(300, [&] { order.push_back(2); });
+  k.schedule_at(100, [&] { order.push_back(1); });
+  k.schedule_at(300, [&] { order.push_back(3); });
+  EXPECT_EQ(k.heap_pushes(), 3u);
+  EXPECT_EQ(k.next_time(), 100u);
+  k.run_until(from_us(284.0));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_TRUE(k.empty());
+}
+
+TEST(KernelTest, RunUntilStopsAfterTheLimit) {
+  Kernel k;
+  std::vector<int> order;
+  k.schedule_at(10, [&] {
+    order.push_back(1);
+    k.schedule_at(20, [&] { order.push_back(2); });  // scheduled by a run event
+  });
+  k.schedule_at(20, [&] { order.push_back(3); });
+  k.schedule_at(21, [&] { order.push_back(4); });
+  k.run_until(20);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+  EXPECT_EQ(k.now(), 20u);
+  EXPECT_EQ(k.next_time(), 21u);
+  k.run_until(kSimTimeMax);
+  EXPECT_TRUE(k.empty());
 }
 
 TEST(KernelTest, LargeCaptureUsesHeapFallback) {

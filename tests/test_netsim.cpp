@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "netsim/apps.hpp"
 #include "netsim/topology.hpp"
 #include "proto/msg_types.hpp"
@@ -28,12 +32,10 @@ TEST(QueueTest, EcnMarksAboveThreshold) {
   q.enqueue(proto::Packet{p});
   q.enqueue(proto::Packet{p});  // queue length 2 at enqueue -> marked
   EXPECT_EQ(q.ecn_marks(), 1u);
-  auto a = q.dequeue();
-  auto b = q.dequeue();
-  auto c = q.dequeue();
-  EXPECT_FALSE(a->ecn_ce);
-  EXPECT_FALSE(b->ecn_ce);
-  EXPECT_TRUE(c->ecn_ce);
+  for (bool marked : {false, false, true}) {
+    EXPECT_EQ(q.front().ecn_ce, marked);
+    q.pop_front();
+  }
 }
 
 TEST(QueueTest, NonEctNeverMarked) {
@@ -42,7 +44,7 @@ TEST(QueueTest, NonEctNeverMarked) {
   p.ecn_capable = false;
   q.enqueue(proto::Packet{p});
   EXPECT_EQ(q.ecn_marks(), 0u);
-  EXPECT_FALSE(q.dequeue()->ecn_ce);
+  EXPECT_FALSE(q.front().ecn_ce);
 }
 
 TEST(QueueTest, FifoOrderAndByteAccounting) {
@@ -55,8 +57,10 @@ TEST(QueueTest, FifoOrderAndByteAccounting) {
   p.id = 2;
   q.enqueue(proto::Packet{p});
   EXPECT_GT(q.bytes(), 0u);
-  EXPECT_EQ(q.dequeue()->id, 1u);
-  EXPECT_EQ(q.dequeue()->id, 2u);
+  EXPECT_EQ(q.front().id, 1u);
+  q.pop_front();
+  EXPECT_EQ(q.front().id, 2u);
+  q.pop_front();
   EXPECT_EQ(q.bytes(), 0u);
 }
 
@@ -71,7 +75,7 @@ TEST(QueueTest, RedBelowMinNeverMarks) {
   // Keep the queue short: enqueue/dequeue pairs, average stays ~0.
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(q.enqueue(proto::Packet{p}));
-    q.dequeue();
+    q.pop_front();
   }
   EXPECT_EQ(q.ecn_marks(), 0u);
   EXPECT_EQ(q.drops(), 0u);
@@ -92,8 +96,8 @@ TEST(QueueTest, RedAboveMaxAlwaysMarksEct) {
   EXPECT_GE(marked, 20u - 6u);
   // Drain and verify CE bits are on the tail packets.
   int ce = 0;
-  while (auto pk = q.dequeue()) {
-    if (pk->ecn_ce) ++ce;
+  for (; !q.empty(); q.pop_front()) {
+    if (q.front().ecn_ce) ++ce;
   }
   EXPECT_EQ(static_cast<std::uint64_t>(ce), marked);
 }
@@ -131,13 +135,130 @@ TEST(QueueTest, RedMarkingFractionGrowsWithAverage) {
     std::uint64_t before = q.ecn_marks();
     for (int i = 0; i < 4000; ++i) {
       q.enqueue(proto::Packet{p});
-      q.dequeue();
+      q.pop_front();
     }
     return static_cast<double>(q.ecn_marks() - before) / 4000.0;
   };
   double low = mark_fraction(30);
   double high = mark_fraction(90);
   EXPECT_GT(high, low * 2);
+}
+
+TEST(QueueTest, PacketRingGrowsAcrossTheWrap) {
+  PacketRing r;
+  EXPECT_EQ(r.capacity(), 0u);  // nothing allocated until the first push
+  std::uint64_t next_in = 1, next_out = 1;
+  auto push = [&] {
+    proto::Packet p;
+    p.id = next_in++;
+    r.push_back(p);
+  };
+  auto pop = [&] {
+    ASSERT_EQ(r.front().id, next_out++);
+    r.pop_front();
+  };
+  for (int i = 0; i < 3; ++i) push();
+  EXPECT_EQ(r.capacity(), 4u);
+  pop();
+  pop();
+  for (int i = 0; i < 3; ++i) push();  // contents now wrap past the buffer end
+  EXPECT_EQ(r.capacity(), 4u);
+  for (int i = 0; i < 5; ++i) push();  // grows twice while wrapped
+  EXPECT_EQ(r.capacity(), 16u);
+  EXPECT_EQ(r.size(), 9u);
+  while (!r.empty()) pop();
+  EXPECT_EQ(next_out, next_in);
+}
+
+namespace {
+
+/// A node that records every packet it receives, with its arrival time.
+class SinkNode : public Node {
+ public:
+  SinkNode(Network& net, std::string name) : Node(net, std::move(name)) {}
+  void handle_packet(proto::Packet&& p, std::size_t) override {
+    arrivals.emplace_back(p.id, now());
+  }
+  std::vector<std::pair<std::uint64_t, SimTime>> arrivals;
+};
+
+proto::Packet udp_frame(std::uint64_t id, bool ect = false) {
+  proto::Packet p;
+  p.l4 = proto::L4Proto::kUdp;
+  p.payload_len = 1000;
+  p.ecn_capable = ect;
+  p.id = id;
+  return p;
+}
+
+}  // namespace
+
+TEST(DeviceTest, FramesArriveInOrderAtTxDonePlusLatency) {
+  Network net("n");
+  auto& a = net.add_node<SinkNode>("a");
+  auto& b = net.add_node<SinkNode>("b");
+  const Bandwidth bw = Bandwidth::gbps(10);
+  const SimTime tx = bw.tx_time(udp_frame(0).link_bytes());
+  const SimTime latency = 10 * tx;  // ~10 frames on the wire at once
+  a.add_device(bw).connect_to(b.add_device(bw), latency);
+  for (std::uint64_t i = 1; i <= 20; ++i) a.dev(0).enqueue(udp_frame(i));
+  net.kernel().run_until(kSimTimeMax);
+  ASSERT_EQ(b.arrivals.size(), 20u);
+  for (std::uint64_t i = 1; i <= 20; ++i) {
+    EXPECT_EQ(b.arrivals[i - 1].first, i);
+    EXPECT_EQ(b.arrivals[i - 1].second, i * tx + latency) << "frame " << i;
+  }
+  EXPECT_EQ(a.dev(0).tx_packets(), 20u);
+  EXPECT_EQ(b.dev(0).rx_packets(), 20u);
+  // Frames are delivered from the sender's ring in place, so a node may
+  // not be wired to itself.
+  EXPECT_THROW(a.add_device(bw).connect_to(a.add_device(bw), latency), std::logic_error);
+}
+
+TEST(DeviceTest, CapacityAndEcnCountQueuedFramesOnly) {
+  Network net("n");
+  auto& a = net.add_node<SinkNode>("a");
+  auto& b = net.add_node<SinkNode>("b");
+  const Bandwidth bw = Bandwidth::gbps(10);
+  const SimTime tx = bw.tx_time(udp_frame(0).link_bytes());
+  Device& d = a.add_device(bw, {.capacity_pkts = 2, .ecn_enabled = true, .ecn_threshold_pkts = 1});
+  d.connect_to(b.add_device(bw), 100 * tx);
+  auto& k = net.kernel();
+  // One frame per tx time: each finds the queue empty, however many of the
+  // earlier frames are still on the wire.
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    d.enqueue(udp_frame(i, true));
+    k.run_until(k.now() + tx);
+  }
+  EXPECT_EQ(d.queue().drops(), 0u);
+  EXPECT_EQ(d.queue().ecn_marks(), 0u);
+  // A burst at an idle transmitter: 6 goes on the wire, 7 finds 0 queued,
+  // 8 finds 1 (>= K: marked), 9 finds 2 (capacity: dropped).
+  for (std::uint64_t i = 6; i <= 9; ++i) d.enqueue(udp_frame(i, true));
+  EXPECT_EQ(d.queue().packets(), 2u);
+  EXPECT_EQ(d.queue().ecn_marks(), 1u);
+  EXPECT_EQ(d.queue().drops(), 1u);
+  EXPECT_EQ(d.pending_wait(k.now()), tx + bw.tx_time(2 * udp_frame(0).wire_bytes()));
+  k.run_until(kSimTimeMax);
+  ASSERT_EQ(b.arrivals.size(), 8u);
+  EXPECT_EQ(b.arrivals.back().first, 8u);
+}
+
+TEST(DeviceTest, ExternalDeviceHandsEachFrameOutOnceInOrder) {
+  Network net("n");
+  auto& a = net.add_node<SinkNode>("a");
+  const Bandwidth bw = Bandwidth::gbps(10);
+  const SimTime tx = bw.tx_time(udp_frame(0).link_bytes());
+  Device& d = a.add_device(bw);
+  std::vector<std::pair<std::uint64_t, SimTime>> sent;
+  d.connect_external([&](const proto::Packet& p, SimTime now) { sent.emplace_back(p.id, now); });
+  for (std::uint64_t i = 1; i <= 5; ++i) d.enqueue(udp_frame(i));
+  net.kernel().run_until(kSimTimeMax);
+  ASSERT_EQ(sent.size(), 5u);
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    EXPECT_EQ(sent[i - 1].first, i);
+    EXPECT_EQ(sent[i - 1].second, i * tx);
+  }
 }
 
 namespace {

@@ -5,6 +5,7 @@
 #include "profiler/profiler.hpp"
 #include "profiler/wtpg.hpp"
 #include "runtime/runner.hpp"
+#include "util/cycles.hpp"
 
 using namespace splitsim;
 using namespace splitsim::profiler;
@@ -12,8 +13,9 @@ using namespace splitsim::runtime;
 
 namespace {
 
-/// Burns a configurable amount of CPU per simulated microsecond, so tests
-/// can construct components with known relative loads.
+/// Charges a configurable amount of modeled host work per simulated
+/// microsecond, so tests can construct components with known relative
+/// loads. Virtual cycles are exact, unlike a spin loop under host load.
 class Burner : public Component {
  public:
   Burner(std::string name, sync::ChannelEnd& end, int work)
@@ -27,8 +29,7 @@ class Burner : public Component {
 
  private:
   void step() {
-    volatile std::uint64_t acc = 0;
-    for (int i = 0; i < work_ * 50; ++i) acc = acc + i;
+    add_virtual_cycles(static_cast<std::uint64_t>(work_) * 20'000);
     kernel().schedule_in(from_us(1.0), [this] { step(); });
   }
 

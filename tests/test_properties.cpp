@@ -483,3 +483,119 @@ TEST_P(KernelProperty, SparseCalendarAndHeadCancelsMatchReference) {
   EXPECT_EQ(k_log, ref_log);
   EXPECT_GT(rotations, 10u) << "the stream must reach past the calendar window";
 }
+
+namespace {
+
+/// A stream event that logs its tag and re-arms itself (tag + 1) a
+/// tag-derived gap later until `end`: the same schedule on either kernel,
+/// so the calendar never empties while a stream runs.
+/// The reference kernel's spelling of Kernel::run_until.
+void run_until(des::ReferenceKernel& ref, SimTime t) {
+  while (!ref.empty() && ref.next_time() <= t) ref.run_next();
+}
+
+template <typename K>
+void arm_stream(K& k, std::vector<std::uint64_t>& log, std::uint64_t tag, SimTime end) {
+  const std::uint64_t h = (tag * 0x9E3779B97F4A7C15ull) >> 40;
+  const SimTime gap = h % 7 == 0 ? 0 : 1 + h % 60'000;  // ~half the seed window, some ties
+  k.schedule_at(k.now() + gap, [&k, &log, tag, end] {
+    log.push_back(tag);
+    if (k.now() < end) arm_stream(k, log, tag + 1, end);
+  });
+}
+
+}  // namespace
+
+// The window that follows the clock, against the same specification: each
+// round starts from an empty queue and rebases it on a far event, inserts
+// earlier events under it, then keeps streams running (the calendar never
+// empties) beside timers 10-20 windows ahead, cancels in both tiers as the
+// window slides, bucket-hint changes while events are pending, and
+// run_until next to run_next / run_all_at.
+TEST_P(KernelProperty, SlidingWindowMixMatchesReference) {
+  Rng rng(GetParam() * 0xA24BAED4u + 3);
+  des::Kernel k;
+  des::ReferenceKernel ref;
+  k.set_bucket_hint(50'000);
+  const SimTime window = 256 * k.bucket_width();
+  const SimTime hints[] = {5'000, 50'000, 500'000, 5'000'000};
+
+  std::vector<std::uint64_t> k_log, ref_log;
+  std::map<std::uint64_t, std::pair<des::Kernel::EventId, des::ReferenceKernel::EventId>> ids;
+  std::uint64_t tag = 0;
+  auto schedule = [&](SimTime t) {
+    const std::uint64_t mytag = ++tag;
+    ids[mytag] = {k.schedule_at(t, [&k_log, mytag] { k_log.push_back(mytag); }),
+                  ref.schedule_at(t, [&ref_log, mytag] { ref_log.push_back(mytag); })};
+  };
+  auto check_head = [&](int step) {
+    ASSERT_EQ(k.next_time(), ref.next_time()) << "step " << step;
+  };
+
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(k.empty());
+    // Empty-queue rebase on a far event, then earlier inserts below it.
+    schedule(k.now() + window * (3 + rng.below(6)));
+    for (std::uint64_t i = 0, n = 5 + rng.below(16); i < n; ++i) {
+      schedule(k.now() + 100 * rng.below(3 * window / 100));
+    }
+    const SimTime end = k.now() + 400 * window;
+    for (std::uint64_t s = 0; s < 6; ++s) {
+      const std::uint64_t stream_tag = (round * 8 + s + 1) << 40;
+      arm_stream(k, k_log, stream_tag, end);
+      arm_stream(ref, ref_log, stream_tag, end);
+    }
+    for (int step = 0; step < 1500; ++step) {
+      const double p = rng.uniform();
+      if (p < 0.3) {
+        schedule(k.now() + 100 * rng.below(window / 100));  // coarse grid: ties
+      } else if (p < 0.4) {
+        schedule(k.now() + window * (10 + rng.below(10)) + rng.below(window));
+      } else if (p < 0.55) {
+        if (!ids.empty()) {  // executed or cancelled handles stay: stale no-ops too
+          auto it = ids.lower_bound(1 + rng.below(tag));
+          if (it == ids.end()) it = ids.begin();
+          k.cancel(it->second.first);
+          ref.cancel(it->second.second);
+        }
+      } else if (p < 0.57) {
+        k.set_bucket_hint(hints[rng.below(4)]);
+      } else if (p < 0.75) {
+        check_head(step);
+        if (!ref.empty()) {
+          k.run_next();
+          ref.run_next();
+        }
+      } else if (p < 0.85) {
+        const SimTime nt = ref.next_time();
+        check_head(step);
+        if (nt != kSimTimeMax) {
+          k.run_all_at(nt);
+          ref.run_all_at(nt);
+        }
+      } else {
+        const SimTime limit = k.now() + rng.below(3 * window);
+        k.run_until(limit);
+        run_until(ref, limit);
+      }
+      ASSERT_EQ(k.now(), ref.now()) << "round " << round << " step " << step;
+      ASSERT_EQ(k_log, ref_log) << "round " << round << " step " << step;
+    }
+    // Drain: the streams stop at `end`, the far timers run out.
+    if (round % 2 == 0) {
+      k.run_until(kSimTimeMax);
+      run_until(ref, kSimTimeMax);
+    } else {
+      while (!ref.empty()) {
+        ASSERT_EQ(k.next_time(), ref.next_time());
+        k.run_next();
+        ref.run_next();
+      }
+    }
+    ASSERT_EQ(k_log, ref_log) << "round " << round;
+    EXPECT_EQ(k.live_events(), 0u);
+  }
+  EXPECT_TRUE(k.empty());
+  EXPECT_EQ(k.events_executed(), ref.events_executed());
+  EXPECT_GT(k.heap_pushes(), 0u);
+}
