@@ -2,10 +2,16 @@
 // experiment).
 //
 // Runs the skewed background-datacenter topology in *pooled* mode under
-// every static partition strategy, then under partition=auto: a short
-// pooled calibration run per strategy, and the full run under the winner.
+// partition=auto (a short pooled calibration run per strategy picks the
+// winner) and under every static partition strategy. The full runs are
+// timed interleaved: each of --rounds rounds (default 5) runs every static
+// strategy and the auto winner once, in an order that alternates between
+// rounds, so host load drifting over the bench hits every row alike.
 //
-// Claims checked (and gated with --strict for CI):
+// The best and worst static strategies are the rows with the lowest and
+// highest median wall time. Claims checked (and gated with --strict for CI),
+// each on the median over rounds of auto's speed relative to that row's in
+// the same round:
 //  * auto reaches >= 0.9x the best static configuration's speed, without
 //    being told which strategy wins
 //  * auto is >= 1.3x faster than the worst static configuration
@@ -13,27 +19,14 @@
 // --adaptive-calib-ms=MS sets the calibration quantum (default: an eighth
 // of the run). Emits BENCH_adaptive.json (uploaded by the CI bench-smoke
 // job).
+#include <algorithm>
+
 #include "common.hpp"
 #include "dc_experiment.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace splitsim;
-
-namespace {
-
-/// Best-of-`repeat` wall time for one configuration (min wall = least
-/// scheduler noise; sim results are identical across repeats).
-benchdc::DcExperimentResult run_best_of(const benchdc::DcExperimentConfig& cfg,
-                                        int repeat) {
-  benchdc::DcExperimentResult best;
-  for (int i = 0; i < repeat; ++i) {
-    auto r = benchdc::run_dc_experiment(cfg);
-    if (i == 0 || r.stats.wall_seconds < best.stats.wall_seconds) best = std::move(r);
-  }
-  return best;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   benchutil::Args args(argc, argv);
@@ -60,41 +53,13 @@ int main(int argc, char** argv) {
   base.exec = benchutil::parse_exec(args, base.exec);
   base.exec.run_mode = runtime::RunMode::kPooled;
   base.duration = benchutil::parse_duration(args, base.duration);
-  const int repeat = args.get_int("--repeat", 2);
+  const int rounds = std::max(1, args.get_int("--rounds", 5));
   const double sim_sec = to_sec(base.duration);
-
-  std::vector<std::string> strategies = {"s", "ac", "cr3", "cr1", "rs"};
-  Table t({"config", "components", "wall (s)", "speed (sim-s/wall-s)", "rel to worst"});
-  std::vector<benchutil::BenchResult> out;
-
-  double best_speed = 0, worst_speed = 0;
-  std::string best_name, worst_name;
-  for (const auto& strat : strategies) {
-    benchdc::DcExperimentConfig cfg = base;
-    cfg.strategy = strat;
-    auto r = run_best_of(cfg, repeat);
-    double speed = sim_sec / r.stats.wall_seconds;
-    if (best_name.empty() || speed > best_speed) {
-      best_speed = speed;
-      best_name = strat;
-    }
-    if (worst_name.empty() || speed < worst_speed) {
-      worst_speed = speed;
-      worst_name = strat;
-    }
-    benchutil::BenchResult br;
-    br.name = "static_" + strat;
-    br.ops = r.components;
-    br.ops_per_sec = speed;
-    br.extra.emplace_back("wall_seconds", r.stats.wall_seconds);
-    out.push_back(br);
-    t.add_row({strat, std::to_string(r.components), Table::num(r.stats.wall_seconds, 3),
-               Table::num(speed, 4), "-"});
-  }
+  const std::vector<std::string> strategies = {"s", "ac", "cr3", "cr1", "rs"};
 
   // Auto: short pooled calibration run per candidate (the same ranking
   // rule orch::calibrate_partition applies for non-coscheduled modes:
-  // simulated seconds per wall second), then the full run under the winner.
+  // simulated seconds per wall second); the full run uses the winner.
   double calib_ms = args.get_double("--adaptive-calib-ms", 0.0);
   SimTime calib_q = calib_ms > 0 ? from_ms(calib_ms) : base.duration / 8;
   double calibration_seconds = 0;
@@ -112,30 +77,66 @@ int main(int argc, char** argv) {
       chosen_calib_speed = speed;
     }
   }
-  benchdc::DcExperimentConfig cfg = base;
-  cfg.strategy = chosen;
-  auto r = run_best_of(cfg, repeat);
-  double auto_speed = sim_sec / r.stats.wall_seconds;
-  t.add_row({"auto->" + chosen, std::to_string(r.components),
-             Table::num(r.stats.wall_seconds, 3), Table::num(auto_speed, 4),
-             Table::num(auto_speed / worst_speed, 2)});
-  std::printf("%s\n", t.to_string().c_str());
-  std::printf("best static: %s, worst static: %s; calibration cost %.3f wall-s\n\n",
-              best_name.c_str(), worst_name.c_str(), calibration_seconds);
 
-  benchutil::BenchResult ar;
-  ar.name = "auto";
-  ar.ops = r.components;
-  ar.ops_per_sec = auto_speed;
-  ar.extra.emplace_back("wall_seconds", r.stats.wall_seconds);
+  // Rows 0..n-1 are the static strategies, row n is auto. Even rounds run
+  // them in that order, odd rounds in reverse.
+  const std::size_t n = strategies.size();
+  std::vector<Summary> wall(n + 1);
+  std::vector<std::size_t> components(n + 1);
+  for (int round = 0; round < rounds; ++round) {
+    for (std::size_t k = 0; k <= n; ++k) {
+      const std::size_t row = round % 2 == 0 ? k : n - k;
+      benchdc::DcExperimentConfig cfg = base;
+      cfg.strategy = row == n ? chosen : strategies[row];
+      auto r = benchdc::run_dc_experiment(cfg);
+      wall[row].add(r.stats.wall_seconds);
+      components[row] = r.components;
+    }
+  }
+  std::size_t best_row = 0, worst_row = 0;
+  for (std::size_t row = 1; row < n; ++row) {
+    if (wall[row].median() < wall[best_row].median()) best_row = row;
+    if (wall[row].median() > wall[worst_row].median()) worst_row = row;
+  }
+  // Speed ratio = inverse wall ratio (every row simulates the same time).
+  Summary vs_best, vs_worst;
+  for (int round = 0; round < rounds; ++round) {
+    const double auto_wall = wall[n].samples()[round];
+    vs_best.add(wall[best_row].samples()[round] / auto_wall);
+    vs_worst.add(wall[worst_row].samples()[round] / auto_wall);
+  }
+
+  Table t({"config", "components", "median wall (s)", "speed (sim-s/wall-s)"});
+  std::vector<benchutil::BenchResult> out;
+  for (std::size_t row = 0; row <= n; ++row) {
+    const double speed = sim_sec / wall[row].median();
+    const std::string name = row == n ? "auto->" + chosen : strategies[row];
+    t.add_row({name, std::to_string(components[row]), Table::num(wall[row].median(), 3),
+               Table::num(speed, 4)});
+    benchutil::BenchResult br;
+    br.name = row == n ? "auto" : "static_" + strategies[row];
+    br.ops = components[row];
+    br.ops_per_sec = speed;
+    br.extra.emplace_back("wall_seconds", wall[row].median());
+    out.push_back(br);
+  }
+  std::printf("%s\n", t.to_string().c_str());
+  std::printf("best static: %s, worst static: %s (median wall over %d rounds); calibration "
+              "cost %.3f wall-s\n",
+              strategies[best_row].c_str(), strategies[worst_row].c_str(), rounds,
+              calibration_seconds);
+  std::printf("auto / best static per round: median %.3f (min %.3f, max %.3f); auto / worst: "
+              "median %.3f\n\n",
+              vs_best.median(), vs_best.min(), vs_best.max(), vs_worst.median());
+
+  benchutil::BenchResult& ar = out.back();
   ar.extra.emplace_back("calibration_seconds", calibration_seconds);
-  ar.extra.emplace_back("auto_vs_best", auto_speed / best_speed);
-  ar.extra.emplace_back("auto_vs_worst", auto_speed / worst_speed);
-  out.push_back(ar);
+  ar.extra.emplace_back("auto_vs_best", vs_best.median());
+  ar.extra.emplace_back("auto_vs_worst", vs_worst.median());
   benchutil::write_json(args.get("--out", "BENCH_adaptive.json"), "sim_s_per_wall_s", out);
 
-  bool near_best = auto_speed >= 0.9 * best_speed;
-  bool beats_worst = auto_speed >= 1.3 * worst_speed;
+  bool near_best = vs_best.median() >= 0.9;
+  bool beats_worst = vs_worst.median() >= 1.3;
   benchutil::check(near_best, "partition=auto reaches >= 0.9x the best static speed");
   benchutil::check(beats_worst, "partition=auto is >= 1.3x faster than the worst static");
   if (args.has("--strict") && !(near_best && beats_worst)) return 1;

@@ -227,9 +227,7 @@ Kernel::Head Kernel::head() const {
   return {ni, false};
 }
 
-SimTime Kernel::next_time() const {
-  // Components poll this on every batch, most of which run no event.
-  if (next_valid_) return next_cache_;
+SimTime Kernel::next_time_slow() const {
   next_cache_ = live_ == 0 ? kSimTimeMax : node(head().ni).time;
   next_valid_ = true;
   return next_cache_;

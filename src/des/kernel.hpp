@@ -133,7 +133,9 @@ class Kernel {
   void cancel(EventId id);
 
   /// Time of the earliest pending event, or kSimTimeMax when empty.
-  SimTime next_time() const;
+  /// Components poll this after every batch, most of which run no event,
+  /// so a valid memo answers inline.
+  SimTime next_time() const { return next_valid_ ? next_cache_ : next_time_slow(); }
 
   /// Advance the clock to the earliest event and execute it.
   /// Precondition: !empty().
@@ -240,6 +242,8 @@ class Kernel {
   /// deferred hint if the calendar is empty) and migrate the heap events
   /// the window now covers into buckets.
   void slide();
+  /// next_time() with an invalid memo: look up the head and memoize it.
+  SimTime next_time_slow() const;
   void heap_push(HeapEntry e);
   void heap_pop() const;
   /// Remove stale (cancelled) entries and re-heapify; triggered when over

@@ -89,6 +89,7 @@ std::string summary_json(const SummaryInputs& in) {
     out += ",\"digest_sum\":\"" + hex64(st.digest.fold_sum) + "\"";
     out += ",\"digest_count\":" + std::to_string(st.digest.count);
     out += ",\"sched_polls\":" + std::to_string(st.sched_polls);
+    out += ",\"sched_segments\":" + std::to_string(st.sched_segments);
     out += ",\"sched_cycles\":" + std::to_string(st.sched_cycles);
     if (!st.pooled_workers.empty()) {
       // Per-worker pooled scheduling stats: the load-imbalance view (empty
@@ -338,6 +339,7 @@ runtime::RunStats parse_run(const JsonValue& run) {
   rs.digest.fold_sum = read_hex64(run, "digest_sum");
   rs.digest.count = read_u64(run, "digest_count");
   rs.sched_polls = read_u64(run, "sched_polls");
+  rs.sched_segments = read_u64(run, "sched_segments");
   rs.sched_cycles = read_u64(run, "sched_cycles");
   if (const JsonValue* workers = run.find("workers")) {
     if (!workers->is_array()) throw std::runtime_error("'workers' is not an array");

@@ -3,13 +3,14 @@
 //
 // Components expose a stepping interface used by both runners, which share
 // one runnability rule built on poll() (see Poll):
-//  * The coscheduled runner (single thread) interleaves all components,
-//    always advancing the component with the globally earliest next action,
-//    kept in an indexed min-heap keyed on Poll::next that is re-keyed only
-//    for the component that ran and the peers it sent data to; with
-//    conservative synchronization this yields the same simulation results
-//    and is how we measure per-component compute load on machines with
-//    fewer cores than components.
+//  * The coscheduled runner (single thread) interleaves all components.
+//    Each run segment starts at the component with the globally earliest
+//    next action, kept in an indexed min-heap keyed on Poll::next that is
+//    re-keyed only for the component that ran and the peers it sent data
+//    to, and advances it up to its own bound; with conservative
+//    synchronization this yields the same simulation results and is how
+//    we measure per-component compute load on machines with fewer cores
+//    than components.
 //  * The worker pool (runtime/pooled.hpp) runs pooled and threaded mode:
 //    blocked components promise their bound and park until a peer
 //    progresses; with one worker each (threaded) they spin-poll first.

@@ -97,14 +97,6 @@ class SlotHeap {
   bool empty() const { return heap_.empty(); }
   std::uint32_t top() const { return heap_[0]; }
 
-  /// Smallest key among the other slots (a child of the root), or
-  /// kSimTimeMax when the top is alone.
-  SimTime second_key() const {
-    SimTime k = kSimTimeMax;
-    for (std::size_t i = 1; i <= 2 && i < heap_.size(); ++i) k = std::min(k, key(heap_[i]));
-    return k;
-  }
-
   void update(std::uint32_t slot) {
     sift_up(pos_[slot]);
     sift_down(pos_[slot]);
@@ -233,6 +225,7 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
   counter_track_ids_.clear();
   pooled_workers_.clear();
   sched_polls_ = 0;
+  sched_segments_ = 0;
   sched_cycles_ = 0;
   if (obs_.any()) {
     // Calibrate the cycle clock before component threads start: the first
@@ -414,15 +407,18 @@ RunStats Simulation::run(SimTime end, RunMode mode, unsigned workers) {
 
 void Simulation::run_coscheduled(const std::vector<Component*>& active, const PeerIndex& peers,
                                  SimTime end) {
-  // Always advance the component with the earliest next action, the top of
-  // a min-heap keyed on Poll::next (see DESIGN.md, "Coscheduled runner").
-  // Conservative synchronization makes any safe order equivalent; picking
-  // the minimum guarantees liveness. To amortize selection, the chosen
-  // component keeps advancing until it passes the second-earliest key or
-  // blocks. Only two things can move a key: the component running, and
-  // data landing in its receive rings. So after each run segment the
-  // runner re-keys the component that ran and every peer whose channel end
-  // shows new data sends.
+  // Each run segment starts at the component with the earliest next action,
+  // the top of a min-heap keyed on Poll::next (see DESIGN.md, "Coscheduled
+  // runner"); starting at the minimum guarantees liveness. The component
+  // then keeps advancing until its next action passes its own safe bound
+  // or the end. Conservative synchronization makes any safe order give the
+  // same batches: each batch processes one whole instant, and a
+  // component's instants come from its own events, the receive times of
+  // its data and its own SYNC grid, none of which depends on which
+  // component ran first. Only two things can move a key: the component
+  // running, and data landing in its receive rings. So after each segment
+  // the runner re-keys the component that ran and every peer whose channel
+  // end shows new data sends.
   std::vector<Component*> slots;
   std::vector<std::uint32_t> slot_of(active.size(), PeerIndex::kNoPeer);
   for (std::uint32_t i = 0; i < active.size(); ++i) {
@@ -480,15 +476,15 @@ void Simulation::run_coscheduled(const std::vector<Component*>& active, const Pe
           throw deadlock_error(*c, p, "coscheduled: no runnable component");
         }
       }
-      const SimTime second = heap.second_key();
       running = c;
+      ++sched_segments_;
       std::uint64_t b0 = rdcycles();
       sched_cycles_ += b0 - mark;
       for (;;) {
         c->advance(p);
         p = c->poll();
         ++sched_polls_;
-        if (p.next > second || p.next > end || p.next > p.bound) break;
+        if (p.next > end || p.next > p.bound) break;
       }
       mark = rdcycles();
       c->add_busy_cycles(mark - b0);
@@ -525,6 +521,7 @@ RunStats Simulation::collect_stats(RunMode mode, SimTime end, std::uint64_t wall
   rs.wall_seconds = wall_seconds;
   rs.pooled_workers = pooled_workers_;
   rs.sched_polls = sched_polls_;
+  rs.sched_segments = sched_segments_;
   rs.sched_cycles = sched_cycles_;
   rs.components.reserve(components_.size());
   for (auto& c : components_) {

@@ -86,10 +86,12 @@ struct RunStats {
   /// also emitted into summary.json.
   std::vector<PooledWorkerStats> pooled_workers;
   /// Coscheduled runner overhead (0 in other modes). sched_polls counts
-  /// its Component::poll() calls and is deterministic; sched_cycles is
+  /// its Component::poll() calls and sched_segments its run segments (one
+  /// heap selection each); both are deterministic. sched_cycles is
   /// measured around heap selection and re-keying, so runtime overhead is
   /// read directly rather than as wall minus the components' busy time.
   std::uint64_t sched_polls = 0;
+  std::uint64_t sched_segments = 0;
   std::uint64_t sched_cycles = 0;
 
   /// Failure attribution for partial stats (attached to the thrown
@@ -203,8 +205,9 @@ class Simulation {
   /// Interned track ids for trunk counter tracks (reporter thread only).
   std::unordered_map<std::string, std::uint32_t> counter_track_ids_;
   std::vector<PooledWorkerStats> pooled_workers_;  ///< filled by pooled runs
-  std::uint64_t sched_polls_ = 0;   ///< filled by coscheduled runs
-  std::uint64_t sched_cycles_ = 0;  ///< filled by coscheduled runs
+  std::uint64_t sched_polls_ = 0;     ///< filled by coscheduled runs
+  std::uint64_t sched_segments_ = 0;  ///< filled by coscheduled runs
+  std::uint64_t sched_cycles_ = 0;    ///< filled by coscheduled runs
 };
 
 }  // namespace splitsim::runtime

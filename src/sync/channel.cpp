@@ -270,7 +270,7 @@ void ChannelEnd::spill_pop() {
   }
 }
 
-const Message* ChannelEnd::peek() {
+const Message* ChannelEnd::peek_pending() {
   for (;;) {
     const Message* m = rx_->front();
     bool from_spill = false;

@@ -158,8 +158,14 @@ class ChannelEnd {
   // ---- consumer side -------------------------------------------------
   /// Oldest pending *data* message, or nullptr. Pure sync messages are
   /// consumed internally (they only advance the horizon). The pointer stays
-  /// valid until consume().
-  const Message* peek();
+  /// valid until consume(). An idle end (empty ring, no spilled messages)
+  /// answers inline: the runner polls every end after every batch.
+  const Message* peek() {
+    if (rx_->front() == nullptr && rx_spill_count_->load(std::memory_order_acquire) == 0) {
+      return nullptr;
+    }
+    return peek_pending();
+  }
 
   /// Discard the message returned by peek().
   void consume();
@@ -225,6 +231,8 @@ class ChannelEnd {
   bool push_with_backpressure(const Message& msg, std::uint64_t& spin_cycles);
   /// Cross-process transport: count the bytes of the frame just sent.
   void count_wire(const Message& msg);
+  /// peek() once the ring or the spill queue may hold a message.
+  const Message* peek_pending();
   const Message* spill_front(bool& from_spill);
   void spill_pop();
   /// Account a received message (data, SYNC or FIN) in the horizon state.

@@ -101,6 +101,7 @@ void expect_same_stats(const RunStats& a, const RunStats& b) {
   EXPECT_EQ(a.error_component, b.error_component);
   EXPECT_EQ(a.error_sim_time, b.error_sim_time);
   EXPECT_EQ(a.sched_polls, b.sched_polls);
+  EXPECT_EQ(a.sched_segments, b.sched_segments);
   EXPECT_EQ(a.sched_cycles, b.sched_cycles);
   ASSERT_EQ(a.pooled_workers.size(), b.pooled_workers.size());
   for (std::size_t i = 0; i < a.pooled_workers.size(); ++i) {
@@ -179,6 +180,7 @@ RunStats synthetic_stats() {
   st.digest.fold_sum = 0xfedcba9876543211ull;
   st.digest.count = (1ull << 53) + 1;
   st.sched_polls = (1ull << 57) + 13;
+  st.sched_segments = (1ull << 56) + 11;
   st.sched_cycles = (1ull << 59) + 15;
   st.pooled_workers.push_back({1, (1ull << 56) + 17, 3, 4});
   st.pooled_workers.push_back({6, 7, 9, (1ull << 62) + 19});
